@@ -50,8 +50,8 @@ def _parse(argv):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--role", choices=("driver", "setup", "measure"),
-                    default="driver", help=argparse.SUPPRESS)
+    ap.add_argument("--role", choices=("parent", "setup", "measure"),
+                    default="parent", help=argparse.SUPPRESS)
     return ap.parse_args(argv)
 
 
@@ -180,7 +180,7 @@ def _worker(args) -> int:
 
 
 # ======================================================================
-# driver side
+# parent side
 # ======================================================================
 
 
@@ -204,7 +204,7 @@ def _setup_time(proc: subprocess.Popen, t0: float) -> float:
     return time.perf_counter() - t0
 
 
-def _driver(args) -> int:
+def _parent(args) -> int:
     deadline = time.monotonic() + DEADLINE_S
     setups = []
     procs = []
@@ -256,8 +256,8 @@ def _units(kind: str) -> dict[str, str]:
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    if args.role == "driver":
-        return _driver(args)
+    if args.role == "parent":
+        return _parent(args)
     return _worker(args)
 
 
