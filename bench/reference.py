@@ -1,8 +1,8 @@
 """Reference figures: repeated runs of bench/run.py, summarised.
 
-    python3 bench/reference.py --runs 10 --sets 2 [--workload NAME ...]
+    python3 bench/reference.py [--workload NAME ...] [--first-seed N]
 
-For each workload, runs `--sets` sets of `--runs` untraced runs,
+For each workload, runs SETS sets of RUNS untraced runs,
 interleaved (run i of every set before run i+1 of any), each with its
 own seed.  Prints, per set and end-to-end metric, the median, the
 quartiles as `statistics.quantiles(values, n=4)` gives them, and their
@@ -23,6 +23,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+RUNS = 10
+SETS = 2
 
 
 def _run(workload: str, seed: int, seconds: int) -> dict:
@@ -37,8 +39,6 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
     ap.add_argument("--workload", action="append", choices=names)
     ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args(argv)
@@ -46,8 +46,8 @@ def main(argv=None) -> int:
     raw: dict[str, list[list[dict]]] = {}
     seed = args.first_seed
     for workload in args.workload or names:
-        sets: list[list[dict]] = [[] for _ in range(args.sets)]
-        for _ in range(args.runs):
+        sets: list[list[dict]] = [[] for _ in range(SETS)]
+        for _ in range(RUNS):
             for runs in sets:
                 runs.append(_run(workload, seed, spec["run_seconds"]))
                 seed += 1

@@ -12,10 +12,11 @@ run also writes its spans to `.bench_out/`.  See bench/README.md.
 This process only starts others and collects their figures.  Each set
 up is a fresh worker process, timed from its start until it reports
 that `cubic_mds` is imported and the workload's warm-up request is
-done; the median of SETUPS such start-ups is `setup_s`.  The last
-worker goes on to the measured phase: whole rounds of requests until
-`--seconds` have passed, then the checks.  Workers pin BLAS and OpenMP
-to one thread before numpy is imported.
+done; the median of SETUPS such start-ups, half before and half after
+the measured phase, is `setup_s`.  The middle worker goes on to the
+measured phase: whole rounds of requests until `--seconds` have
+passed, then the checks.  Workers pin BLAS and OpenMP to one thread
+before numpy is imported.
 """
 
 from __future__ import annotations
@@ -204,24 +205,35 @@ def _setup_time(proc: subprocess.Popen, t0: float) -> float:
     return time.perf_counter() - t0
 
 
+def _setup_only(args, procs: list, deadline: float) -> float:
+    proc, t0 = _start(args, "setup")
+    procs.append(proc)
+    took = _setup_time(proc, t0)
+    if proc.wait(timeout=max(1.0, deadline - time.monotonic())) != 0:
+        raise RuntimeError("set-up worker failed")
+    return took
+
+
 def _parent(args) -> int:
     deadline = time.monotonic() + DEADLINE_S
     setups = []
     procs = []
+    # The traced run reports no setup_s, so it starts one worker.  The
+    # untraced run sets up half the time before the measured phase and
+    # half after it: the machine's speed drifts in phases of seconds,
+    # and two windows far apart sample more than one phase.
+    extra = 0 if args.trace else SETUPS - 1
     try:
-        # The traced run reports no setup_s, so it starts one worker.
-        for _ in range(0 if args.trace else SETUPS - 1):
-            proc, t0 = _start(args, "setup")
-            procs.append(proc)
-            setups.append(_setup_time(proc, t0))
-            if proc.wait(timeout=max(1.0, deadline - time.monotonic())) != 0:
-                raise RuntimeError("set-up worker failed")
+        for _ in range(extra // 2):
+            setups.append(_setup_only(args, procs, deadline))
         proc, t0 = _start(args, "measure")
         procs.append(proc)
         setups.append(_setup_time(proc, t0))
         rest, _ = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
         if proc.returncode != 0:
             raise RuntimeError(f"workload worker exited {proc.returncode}")
+        for _ in range(extra - extra // 2):
+            setups.append(_setup_only(args, procs, deadline))
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1

@@ -52,6 +52,16 @@ def test_slice_rejects_closed_value_off_by_1e4_relative(slice_out, req):
     assert _slice_check(req, (bad, oracle, product)) is not None
 
 
+def test_slice_rejects_product_off_by_1e4_relative(slice_out):
+    # closed and oracle stay right, so only the Euler-product check can
+    # catch this.
+    req = (5, 2.5 + 0j)
+    closed, oracle, product = slice_out[req]
+    bad = product * (1 + 1e-4)
+    reason = _slice_check(req, (closed, oracle, bad))
+    assert reason is not None and "product" in reason
+
+
 def test_slice_tail_bounds_are_the_limit():
     # At Re s = 2 the a-priori bounds are about 5e-4 absolute and 2e-4
     # relative, so a 1e-4 error there would pass; the self-tests above

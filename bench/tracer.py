@@ -4,8 +4,10 @@
 modules with a timing wrapper, in the defining module and wherever
 another module bound the same function with `from .x import y`.  It
 also wraps the construction, `conductor`, `is_principal` and
-`is_primitive` of `DirichletCharacter`.  Nothing in the program is
-edited; without `install` the program runs untouched.
+`is_primitive` of `DirichletCharacter`, and the private
+`mds._L23_eta` through which every `_L23_CACHE` lookup goes.  Nothing
+in the program is edited; without `install` the program runs
+untouched.
 
 Spans are aggregated by calling context inside each operation: one
 node per path of function names, holding the call count, the total
@@ -21,7 +23,6 @@ import functools
 import importlib
 import inspect
 import json
-import math
 import sys
 import time
 
@@ -49,7 +50,6 @@ class Tracer:
         self._root = _node("bench")
         # frame layout: [node, child_s]
         self._stack = [[self._root, 0.0]]
-        self._squarefree_coprime6: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------------
     # spans
@@ -142,20 +142,6 @@ class Tracer:
     def _hook_hurwitz(self, args, kwargs) -> None:
         self._add("lfunc.hurwitz_points", 1)
 
-    def _hook_z_star(self, args, kwargs) -> None:
-        """Z_star looks up L_{2,3}(eta_n) once per squarefree n <= N
-        coprime to 6 with chi(n) != 0."""
-        chi = args[0] if args else kwargs["chi"]
-        spec = args[3] if len(args) > 3 else kwargs["spec"]
-        ns = self._squarefree_coprime6.get(spec.n_cutoff)
-        if ns is None:
-            ns = [n for n in range(1, spec.n_cutoff + 1, 2)
-                  if n % 3 and all(n % (p * p) for p in range(2, math.isqrt(n) + 1))]
-            self._squarefree_coprime6[spec.n_cutoff] = ns
-        q = chi.modulus
-        self._add("mds.l23_cache.lookups",
-                  sum(1 for n in ns if chi.values[n % q] != 0))
-
     # ------------------------------------------------------------------
     # installation
     # ------------------------------------------------------------------
@@ -167,7 +153,6 @@ class Tracer:
             "sqcount.coefficient_sieve": self._hook_sieve,
             "lfunc.dirichlet_L": self._hook_dirichlet_L,
             "lfunc.hurwitz_zeta": self._hook_hurwitz,
-            "mds.Z_star": self._hook_z_star,
         }
         replaced = {}
         for layer, module in modules.items():
@@ -180,6 +165,10 @@ class Tracer:
                     replaced[fn] = self._wrap_generator(fn, name, layer)
                 else:
                     replaced[fn] = self._wrap(fn, name, layer, hooks.get(name))
+        # Every lookup of `_L23_CACHE` goes through this private
+        # function; a miss is its nested call to `L_removed_23`.
+        l23 = modules["mds"]._L23_eta
+        replaced[l23] = self._wrap(l23, "mds._L23_eta", "mds")
         for module in _package_modules():
             for attr, value in list(vars(module).items()):
                 try:
@@ -257,11 +246,11 @@ def per_layer_metrics(tracer: Tracer, labels: list[str], op_s: list[float]) -> d
 
     `verify.criterion_NN.s` is the traced wall time of that criterion
     (0 outside the `acceptance` workload); the hit ratio of `_L23_CACHE`
-    is 0 when `Z_star` made no lookup, and `mds.l23_cache.lookups`
-    gives its base.
+    is 0 when no lookup was made, and `mds.l23_cache.lookups` (the calls
+    of `mds._L23_eta`) gives its base.
     """
-    lookups = tracer.counts.get("mds.l23_cache.lookups", 0)
-    misses = tracer.nested_calls("mds.Z_star", "lfunc.L_removed_23")
+    lookups = tracer.calls("mds._L23_eta")
+    misses = tracer.nested_calls("mds._L23_eta", "lfunc.L_removed_23")
     metrics = {f"{layer}.self_s": tracer.self_s[layer]
                for layer in ("sqcount", "euler", "lfunc", "forms", "arith", "mds")}
     for name in ("sqcount.coefficient_sieve", "sqcount.count_roots",

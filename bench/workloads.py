@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import checks
-from cubic_mds import lfunc, mds, verify
+from cubic_mds import arith, lfunc, mds, verify
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,17 @@ def _lseries_check(request, out) -> str | None:
     return checks.check_lseries(n, s, t, *out, reference)
 
 
+def _lseries_warmup() -> None:
+    # The smallest n of the range keeps the start-ups cheap; the SPF
+    # table is then grown to the largest modulus, 4n < 24 000, which
+    # takes a few ms.
+    _lseries_call((505, 0.3 + 2j, 1.0))
+    arith.spf_list(4 * LSERIES_N[-1])
+
+
 LSERIES = Workload(
     name="lseries",
-    # The smallest n of the range keeps the seven start-ups cheap; the
-    # SPF table grows to 4n = 24 000 within the first round, in a few ms.
-    warmup=lambda: _lseries_call((505, 0.3 + 2j, 1.0)),
+    warmup=_lseries_warmup,
     rounds=_lseries_rounds,
     call=_lseries_call,
     check=_lseries_check,
