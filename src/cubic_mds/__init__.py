@@ -19,7 +19,6 @@ brute-force or truncated-series route.
 from .arith import (
     PrimeFactorization,
     SquarefreeSplit,
-    chi_d,
     factorize,
     is_squarefree,
     kronecker,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PrimeFactorization",
     "SquarefreeSplit",
-    "chi_d",
     "factorize",
     "is_squarefree",
     "kronecker",

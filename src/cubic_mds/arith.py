@@ -20,10 +20,13 @@ to share once built.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import PoleError
 
 _MAX_FACTOR_INPUT = 2**63 - 1
 
@@ -126,7 +129,8 @@ def factorize(n: int) -> PrimeFactorization:
             found[d] = e
         d += 2
     if m > 1:
-        # No prime factor below 1e6 left; m <= 1e12 must itself be prime.
+        # m has no prime factor up to the trial-division bound, but above
+        # 1e12 it can still be composite: test it, and split with rho.
         stack = [m]
         while stack:
             t = stack.pop()
@@ -200,16 +204,6 @@ def kronecker(a: int, b: int) -> int:
             result = -result
         a %= b
     return result if b == 1 else 0
-
-
-def chi_d(d: int, n: int) -> int:
-    """Quadratic character (d/n) with d in the numerator slot.
-
-    Thin wrapper over the Kronecker symbol so call sites read the same
-    way formulas do: chi_d(d, 2) = (-1)^((d^2-1)/8) for odd d, and
-    chi_d(d, -1) = sign(d).
-    """
-    return kronecker(d, n)
 
 
 # ======================================================================
@@ -331,3 +325,22 @@ def squarefree_mask(limit: int) -> np.ndarray:
     for q in range(2, math.isqrt(limit) + 1):
         mask[q * q :: q * q] = False
     return mask
+
+
+# ======================================================================
+# p^(-s) and the pole guard of the closed forms
+# ======================================================================
+
+_POLE_EPS = 1e-13
+
+
+def _px(p: float, s: complex) -> complex:
+    """p^(-s) for real p > 0, via exp so large real parts never overflow."""
+    return cmath.exp(-s * math.log(p))
+
+
+def _guard(value: complex, what: str) -> complex:
+    """value itself; PoleError when it is within 1e-13 of zero."""
+    if abs(value) < _POLE_EPS:
+        raise PoleError(f"evaluation within 1e-13 of a pole: {what} vanishes")
+    return value

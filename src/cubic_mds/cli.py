@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from multiprocessing import Pool
@@ -44,7 +45,7 @@ def _cx(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    """"RE,IM" or "RE" (imaginary part zero)."""
+    """"RE,IM" or "RE" (imaginary part zero); both parts finite."""
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValueError(f"cannot parse complex number from {text!r}")
@@ -53,6 +54,8 @@ def parse_complex(text: str) -> complex:
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
         raise ValueError(f"cannot parse complex number from {text!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"complex number {text!r} is not finite")
     return complex(re, im)
 
 
@@ -78,40 +81,45 @@ def parse_character(spec: str) -> DirichletCharacter:
     raise ValueError(f"unknown character kind {kind!r}; use eta, mod24, psi")
 
 
-def _comparison_payload(c: mds.SeriesComparison) -> dict:
-    return json.loads(c.to_json())
+def _report(
+    args,
+    lines: list[str],
+    results: list,
+    comparisons: list[mds.SeriesComparison] = (),
+    passed: list[bool] | None = None,
+    status_line: bool = True,
+) -> int:
+    """Print one command's record and return its exit code.
 
-
-def _status(comparisons: list[mds.SeriesComparison]) -> str:
-    if not comparisons:
-        return "pass"
-    hits = [c.passed for c in comparisons]
-    if all(hits):
-        return "pass"
-    if any(hits):
-        return "partial"
-    return "fail"
-
-
-def _emit(record: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
+    The status is "pass" when every verdict in `passed` holds (by
+    default the comparisons' verdicts; none counts as pass), "fail"
+    when none does and "partial" otherwise; only "pass" exits 0.  Text
+    mode prints `lines`, then the status unless `status_line` is off;
+    JSON mode prints the {command, parameters, results, comparisons,
+    status} record, its parameters being the command's own arguments.
+    """
+    if passed is None:
+        passed = [c.passed for c in comparisons]
+    status = "pass" if all(passed) else ("partial" if any(passed) else "fail")
+    if args.format == "json":
+        parameters = {
+            k: v for k, v in vars(args).items()
+            if k not in ("command", "format", "fn")
+        }
+        record = {
+            "command": args.command,
+            "parameters": parameters,
+            "results": results,
+            "comparisons": [json.loads(c.to_json()) for c in comparisons],
+            "status": status,
+        }
         print(json.dumps(record, sort_keys=True))
     else:
         for ln in lines:
             print(ln)
-
-
-def _exit_code(status: str) -> int:
+        if status_line:
+            print(f"status: {status}")
     return 0 if status == "pass" else 1
-
-
-def _parallel_map(fn, items, jobs: int):
-    """Ordered map; jobs > 1 fans slices out to worker processes."""
-    items = list(items)
-    if jobs <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with Pool(min(jobs, len(items))) as pool:
-        return pool.map(fn, items)
 
 
 # ======================================================================
@@ -138,17 +146,7 @@ def _cmd_count(args) -> int:
         comparisons.append(
             mds.SeriesComparison.compare(complex(fast), complex(brute), spec)
         )
-    status = _status(comparisons)
-    lines.append(f"status: {status}")
-    record = {
-        "command": "count",
-        "parameters": {"m": m, "n": n},
-        "results": results,
-        "comparisons": [_comparison_payload(c) for c in comparisons],
-        "status": status,
-    }
-    _emit(record, lines, args.format)
-    return _exit_code(status)
+    return _report(args, lines, results, comparisons)
 
 
 def _cmd_forms(args) -> int:
@@ -156,19 +154,7 @@ def _cmd_forms(args) -> int:
         forms.enumerate_representatives(args.mmax, args.nmax, args.odd_squarefree)
     )
     lines = ["a,b,c,n"] + [f"{a},{b},{c},{n}" for a, b, c, n in rows]
-    record = {
-        "command": "forms",
-        "parameters": {
-            "mmax": args.mmax,
-            "nmax": args.nmax,
-            "odd_squarefree": bool(args.odd_squarefree),
-        },
-        "results": [list(r) for r in rows],
-        "comparisons": [],
-        "status": "pass",
-    }
-    _emit(record, lines, args.format)
-    return 0
+    return _report(args, lines, [list(r) for r in rows], status_line=False)
 
 
 def _cmd_euler(args) -> int:
@@ -179,26 +165,16 @@ def _cmd_euler(args) -> int:
         m_cutoff=1, n_cutoff=args.n, local_order=args.k, tolerance=args.tol
     )
     cmp0 = mds.SeriesComparison.compare(closed, oracle, spec)
-    status = _status([cmp0])
     lines = [
         f"closed  = {_cx(closed)}",
         f"oracle  = {_cx(oracle)} (K={args.k})",
         f"rel_err = {_g(cmp0.rel_err)}",
-        f"status: {status}",
     ]
-    record = {
-        "command": "euler",
-        "parameters": {"p": args.p, "n": args.n, "s": args.s, "k": args.k,
-                       "tol": args.tol},
-        "results": [
-            {"name": "closed", "re": closed.real, "im": closed.imag},
-            {"name": "oracle", "re": oracle.real, "im": oracle.imag},
-        ],
-        "comparisons": [_comparison_payload(cmp0)],
-        "status": status,
-    }
-    _emit(record, lines, args.format)
-    return _exit_code(status)
+    results = [
+        {"name": "closed", "re": closed.real, "im": closed.imag},
+        {"name": "oracle", "re": oracle.real, "im": oracle.imag},
+    ]
+    return _report(args, lines, results, [cmp0])
 
 
 def _cmd_zn(args) -> int:
@@ -211,30 +187,19 @@ def _cmd_zn(args) -> int:
     )
     cmp_oracle = mds.SeriesComparison.compare(closed, oracle, spec)
     cmp_product = mds.SeriesComparison.compare(closed, product, spec)
-    comparisons = [cmp_oracle, cmp_product]
-    status = _status(comparisons)
     lines = [
         f"closed  = {_cx(closed)}",
         f"oracle  = {_cx(oracle)} (cutoff={args.cutoff})",
         f"product = {_cx(product)} (primes<={args.prime_cutoff})",
         f"rel_err closed/oracle  = {_g(cmp_oracle.rel_err)}",
         f"rel_err closed/product = {_g(cmp_product.rel_err)}",
-        f"status: {status}",
     ]
-    record = {
-        "command": "zn",
-        "parameters": {"n": args.n, "s": args.s, "cutoff": args.cutoff,
-                       "prime_cutoff": args.prime_cutoff, "tol": args.tol},
-        "results": [
-            {"name": "closed", "re": closed.real, "im": closed.imag},
-            {"name": "oracle", "re": oracle.real, "im": oracle.imag},
-            {"name": "product", "re": product.real, "im": product.imag},
-        ],
-        "comparisons": [_comparison_payload(c) for c in comparisons],
-        "status": status,
-    }
-    _emit(record, lines, args.format)
-    return _exit_code(status)
+    results = [
+        {"name": "closed", "re": closed.real, "im": closed.imag},
+        {"name": "oracle", "re": oracle.real, "im": oracle.imag},
+        {"name": "product", "re": product.real, "im": product.imag},
+    ]
+    return _report(args, lines, results, [cmp_oracle, cmp_product])
 
 
 def _cmd_lfun(args) -> int:
@@ -264,17 +229,7 @@ def _cmd_lfun(args) -> int:
         )
         lines.append(f"direct    = {_cx(direct.value)} (200000 terms)")
         lines.append(f"rel_err   = {_g(cmp0.rel_err)}")
-    status = _status(comparisons)
-    lines.append(f"status: {status}")
-    record = {
-        "command": "lfun",
-        "parameters": {"char": args.char, "s": args.s},
-        "results": results,
-        "comparisons": [_comparison_payload(c) for c in comparisons],
-        "status": status,
-    }
-    _emit(record, lines, args.format)
-    return _exit_code(status)
+    return _report(args, lines, results, comparisons)
 
 
 def _cmd_zeta2(args) -> int:
@@ -317,18 +272,7 @@ def _cmd_zeta2(args) -> int:
         )
     else:
         print("decomposition skipped: needs Re(s1) > 1.5", file=sys.stderr)
-    status = _status(comparisons)
-    lines.append(f"status: {status}")
-    record = {
-        "command": "zeta2",
-        "parameters": {"s1": args.s1, "s2": args.s2, "mmax": args.mmax,
-                       "nmax": args.nmax},
-        "results": results,
-        "comparisons": [_comparison_payload(c) for c in comparisons],
-        "status": status,
-    }
-    _emit(record, lines, args.format)
-    return _exit_code(status)
+    return _report(args, lines, results, comparisons)
 
 
 def _cmd_fe(args) -> int:
@@ -337,49 +281,30 @@ def _cmd_fe(args) -> int:
     lines = ["s_re,s_im,rel_err,passed"]
     for s, c in zip(grid, comps):
         lines.append(f"{_g(s.real)},{_g(s.imag)},{_g(c.rel_err)},{c.passed}")
-    status = _status(comps)
-    lines.append(f"status: {status}")
-    record = {
-        "command": "fe",
-        "parameters": {"n": args.n, "grid": list(args.grid), "tol": args.tol},
-        "results": [
-            {"s_re": s.real, "s_im": s.imag, "rel_err": c.rel_err,
-             "passed": c.passed}
-            for s, c in zip(grid, comps)
-        ],
-        "comparisons": [_comparison_payload(c) for c in comps],
-        "status": status,
-    }
-    _emit(record, lines, args.format)
-    return _exit_code(status)
+    results = [
+        {"s_re": s.real, "s_im": s.imag, "rel_err": c.rel_err,
+         "passed": c.passed}
+        for s, c in zip(grid, comps)
+    ]
+    return _report(args, lines, results, comps)
 
 
 def _cmd_verify(args) -> int:
     results = verify.run_suite(args.suite)
     lines = [r.line() for r in results]
-    passed = sum(1 for r in results if r.passed)
-    lines.append(f"verified {passed}/{len(results)} criteria")
+    passed = [r.passed for r in results]
+    lines.append(f"verified {sum(passed)}/{len(results)} criteria")
     for r in results:
         print(
             f"criterion {r.number}: {r.elapsed:.1f}s (budget {r.budget:.0f}s)",
             file=sys.stderr,
         )
-    status = "pass" if passed == len(results) else (
-        "partial" if passed else "fail"
-    )
-    record = {
-        "command": "verify",
-        "parameters": {"suite": args.suite},
-        "results": [
-            {"number": r.number, "name": r.name, "passed": r.passed,
-             "detail": r.detail}
-            for r in results
-        ],
-        "comparisons": [],
-        "status": status,
-    }
-    _emit(record, lines, args.format)
-    return 0 if status == "pass" else 1
+    records = [
+        {"number": r.number, "name": r.name, "passed": r.passed,
+         "detail": r.detail}
+        for r in results
+    ]
+    return _report(args, lines, records, passed=passed, status_line=False)
 
 
 def _zn_row(task) -> tuple:
@@ -393,12 +318,18 @@ def _zn_row(task) -> tuple:
 def _cmd_table(args) -> int:
     s = parse_complex(args.s)
     if args.kind == "zn":
-        ns = [
-            n for n in range(1, args.nmax + 1, 2) if arith.is_squarefree(n)
+        tasks = [
+            (n, s, args.cutoff)
+            for n in range(1, args.nmax + 1, 2)
+            if arith.is_squarefree(n)
         ]
-        rows = _parallel_map(
-            _zn_row, [(n, s, args.cutoff) for n in ns], args.jobs
-        )
+        # Rows are independent; one worker per core, assembled in order.
+        workers = min(os.cpu_count() or 1, len(tasks))
+        if workers <= 1:
+            rows = [_zn_row(t) for t in tasks]
+        else:
+            with Pool(workers) as pool:
+                rows = pool.map(_zn_row, tasks)
         lines = ["n,closed_re,closed_im,oracle_re,oracle_im,rel_err"]
         for n, closed, oracle, rel in rows:
             lines.append(
@@ -420,16 +351,7 @@ def _cmd_table(args) -> int:
             for m in range(1, args.mmax + 1):
                 lines.append(f"{m},{n},{coeffs[m]}")
                 results.append({"m": m, "n": n, "coefficient": coeffs[m]})
-    record = {
-        "command": "table",
-        "parameters": {"kind": args.kind, "s": args.s, "nmax": args.nmax,
-                       "mmax": args.mmax, "cutoff": args.cutoff},
-        "results": results,
-        "comparisons": [],
-        "status": "pass",
-    }
-    _emit(record, lines, args.format)
-    return 0
+    return _report(args, lines, results, status_line=False)
 
 
 # ======================================================================
@@ -442,16 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cubic-mds",
         description="Verifiable evaluators for the cubic-form double series.",
     )
-    default_jobs = int(os.environ.get("CUBIC_MDS_JOBS", os.cpu_count() or 1))
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format for stdout (default text)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=default_jobs,
-        help="worker processes for sliced computations "
-             "(default CUBIC_MDS_JOBS or core count); results are "
-             "assembled in fixed order either way",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

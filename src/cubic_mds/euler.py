@@ -27,9 +27,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, sqcount
-from .errors import PoleError
-
-_POLE_EPS = 1e-13
+from .arith import _guard, _px
 
 
 @dataclass(frozen=True)
@@ -50,17 +48,6 @@ def _check_domain(p: int, n: int) -> None:
         raise ValueError(f"slice index must satisfy n >= 1, got {n}")
     if p < 2 or not arith.is_probable_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-
-
-def _guard(value: complex, what: str) -> complex:
-    if abs(value) < _POLE_EPS:
-        raise PoleError(f"evaluation within 1e-13 of a pole: {what} vanishes")
-    return value
-
-
-def _px(p: int, s: complex) -> complex:
-    """p^(-s) via exp so large real parts never overflow."""
-    return cmath.exp(-s * math.log(p))
 
 
 # ======================================================================

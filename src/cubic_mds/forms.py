@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from . import sqcount
-
 
 @dataclass(frozen=True)
 class BinaryCubicForm:
@@ -190,8 +188,3 @@ def count_forms(m: int, n: int) -> int:
         if (b * b + n) % (3 * m) == 0:
             total += 1
     return total
-
-
-def count_forms_from_coefficient(m: int, n: int) -> int:
-    """Same count through the square-root counter (dual route)."""
-    return sqcount.coefficient(m, n)

@@ -34,9 +34,9 @@ from math import gcd
 import numpy as np
 
 from . import arith
+from .arith import _POLE_EPS, _guard, _px
 from .errors import PoleError
 
-_POLE_EPS = 1e-13
 _ONE_EPS = 1e-9
 
 
@@ -141,6 +141,8 @@ def _hurwitz_block(
     Second result is a per-point error estimate.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0) or np.any(xs > 1):
         raise ValueError("hurwitz_zeta requires x in (0, 1]")
@@ -522,15 +524,6 @@ def real_primitive_characters(max_modulus: int) -> list[DirichletCharacter]:
     ]
 
 
-def real_characters_mod(q: int) -> list[DirichletCharacter]:
-    """All real characters of modulus exactly q (principal included)."""
-    out = [principal_character(q)]
-    for d in fundamental_discriminants(q):
-        if d != 1 and q % abs(d) == 0:
-            out.append(character_from_symbol(d, q))
-    return out
-
-
 # ======================================================================
 # Gauss sums
 # ======================================================================
@@ -592,7 +585,7 @@ def dirichlet_L(chi: DirichletCharacter, s: complex) -> LSeriesValue:
     weights = np.array([complex(chi.values[a % q]) for a in residues])
     xs = np.array([a / q for a in residues])
     hur, point_err = _hurwitz_block(s, xs, deflate=not principal)
-    scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0
+    scale = _px(q, s) if q > 1 else 1.0
     value = complex(scale * np.sum(weights * hur))
     err = abs(scale) * len(residues) * (point_err + 1e-15)
     return LSeriesValue(
@@ -650,8 +643,8 @@ def L_removed_23(chi: DirichletCharacter, s: complex) -> complex:
     """
     s = complex(s)
     base = dirichlet_L(chi, s).value
-    f2 = 1 - complex(chi(2)) * cmath.exp(-s * math.log(2))
-    f3 = 1 - complex(chi(3)) * cmath.exp(-s * math.log(3))
+    f2 = 1 - complex(chi(2)) * _px(2, s)
+    f3 = 1 - complex(chi(3)) * _px(3, s)
     return base * f2 * f3
 
 
@@ -683,26 +676,14 @@ def lb_finite_product(psi: DirichletCharacter, b: int, w: complex) -> complex:
     w = complex(w)
     out = 1 + 0j
     for p, _ in arith.factorize(b).factors:
-        factor = 1 + complex(psi(p)) * cmath.exp(-w * math.log(p))
-        if abs(factor) < _POLE_EPS:
-            raise PoleError(f"restricted-sum factor vanishes at p = {p}")
-        out /= factor
+        factor = 1 + complex(psi(p)) * _px(p, w)
+        out /= _guard(factor, f"1 + psi(p) p^-w at p={p}")
     return out
 
 
 # ======================================================================
 # closed forms of the slice series
 # ======================================================================
-
-def _pow(base: int, s: complex) -> complex:
-    return cmath.exp(-s * math.log(base))
-
-
-def _guard(value: complex, what: str) -> complex:
-    if abs(value) < _POLE_EPS:
-        raise PoleError(f"denominator {what} vanishes")
-    return value
-
 
 def A_j(j: int, s: complex) -> complex:
     """Nine-branch rational factor in 2^(-s), 3^(-s), keyed by j mod 24.
@@ -711,8 +692,8 @@ def A_j(j: int, s: complex) -> complex:
     mod 12, and finally mod 24.
     """
     s = complex(s)
-    x2 = _pow(2, s)
-    x3 = _pow(3, s)
+    x2 = _px(2, s)
+    x3 = _px(3, s)
     if j % 3 == 1:
         return 0j
     if j % 6 == 0:
@@ -783,7 +764,7 @@ def Z_n_closed(n: int, s: complex) -> complex:
     z1 = riemann_zeta(s)
     z2 = _guard(riemann_zeta(2 * s), "zeta(2s)")
     lval = L_removed_23(character_eta(n), s)
-    x2 = _pow(2, s)
+    x2 = _px(2, s)
     return z1 / z2 * branch * lval / _guard(1 - x2, "1 - 2^-s")
 
 
@@ -800,7 +781,7 @@ def completed_Lambda(n: int, s: complex) -> complex:
     s = complex(s)
     prim = primitive_part(psi_n_character(n))
     f = prim.modulus
-    front = cmath.exp(-((s + 1) / 2) * math.log(math.pi / f))
+    front = _px(math.pi / f, (s + 1) / 2)
     gam = complex_gamma((s + 1) / 2)
     lval = dirichlet_L(prim, s).value
     return front * gam * lval

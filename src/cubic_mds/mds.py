@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, forms, sqcount
+from .arith import _px
 from .errors import PoleError
 from .euler import local_factor_closed
 from .lfunc import (
@@ -133,11 +134,6 @@ def coefficient_tail_bound(m_cutoff: int, sigma: float) -> float:
     )
 
 
-def _cpow(base: float, s: complex) -> complex:
-    """base^(-s) for positive real base."""
-    return cmath.exp(-complex(s) * math.log(base))
-
-
 def _fsum_complex(res: list[float], ims: list[float]) -> complex:
     return complex(math.fsum(res), math.fsum(ims))
 
@@ -171,7 +167,7 @@ def Z_direct(
     for a, _b, _c, n in forms.enumerate_representatives(
         spec.m_cutoff, spec.n_cutoff, require_odd_squarefree
     ):
-        t = _cpow(a, s1) * _cpow(n, s2)
+        t = _px(a, s1) * _px(n, s2)
         res.append(t.real)
         ims.append(t.imag)
     return _fsum_complex(res, ims)
@@ -198,7 +194,7 @@ def _coefficient_double_sum(
             sqcount.coefficient_sieve(n, spec.m_cutoff)[1:], dtype=float
         )
         inner = complex(coeffs @ powers)
-        t = inner * _cpow(n, s2)
+        t = inner * _px(n, s2)
         res.append(t.real)
         ims.append(t.imag)
     return _fsum_complex(res, ims)
@@ -273,7 +269,7 @@ def Z_star(
         cv = complex(chi(n))
         if cv == 0:
             continue
-        t = cv * _L23_eta(n, s1) * _cpow(n, s2)
+        t = cv * _L23_eta(n, s1) * _px(n, s2)
         res.append(t.real)
         ims.append(t.imag)
     return _fsum_complex(res, ims)
@@ -318,10 +314,10 @@ def residue_identity_check(
         jac = table[ks % m]
         twist = chi_vec * jac
         l_inner = complex(twist[1:] @ kinv)
-        pref = arith.kronecker(-1, m) * _cpow(m, s1)
+        pref = arith.kronecker(-1, m) * _px(m, s1)
         for p, _e in arith.factorize(m).factors:
             csq = complex(chi(p)) ** 2
-            pref /= 1 - csq * _cpow(p, 2 * complex(s2))
+            pref /= 1 - csq * _px(p, 2 * complex(s2))
         t = pref * l_inner
         res.append(t.real)
         ims.append(t.imag)
@@ -384,7 +380,7 @@ def residue_product(
             continue
         csq = complex(chi(p)) ** 2
         inv2 = 1.0 / (p * p)
-        num = 1 - csq * inv2 + csq * _cpow(p, 2 * s1 + 2) - _cpow(p, 2 * s1 + 1)
+        num = 1 - csq * inv2 + csq * _px(p, 2 * s1 + 2) - _px(p, 2 * s1 + 1)
         den = 1 - csq * inv2
         partial *= num / den
     if not compensate_tail:
@@ -403,18 +399,6 @@ def residue_product(
             j += 1
         k += 1
     return partial * cmath.exp(tail_log)
-
-
-def residue_product_gap(
-    chi: DirichletCharacter,
-    s1: complex,
-    prime_cutoff: int,
-    compensate_tail: bool = True,
-) -> float:
-    """Convergence monitor: |value(P) - value(P/2)| for the product."""
-    hi = residue_product(chi, s1, prime_cutoff, compensate_tail)
-    lo = residue_product(chi, s1, prime_cutoff // 2, compensate_tail)
-    return abs(hi - lo)
 
 
 # ======================================================================
@@ -466,13 +450,13 @@ def functional_equation_term_check(
     if f % n:
         raise ValueError("conductor is not a multiple of n; inadmissible n")
     f0 = f // n
-    lhs = dirichlet_L(prim, s1).value * _cpow(n, s2)
+    lhs = dirichlet_L(prim, s1).value * _px(n, s2)
     gamma_ratio = complex_gamma(1 - s1 / 2) / complex_gamma((s1 + 1) / 2)
     rhs = (
         cmath.exp((s1 - 0.5) * math.log(math.pi / f0))
         * gamma_ratio
         * dirichlet_L(prim, 1 - s1).value
-        * _cpow(n, s1 + s2 - 0.5)
+        * _px(n, s1 + s2 - 0.5)
     )
     spec = TruncationSpec(m_cutoff=1, n_cutoff=1, local_order=1, tolerance=tolerance)
     return SeriesComparison.compare(lhs, rhs, spec)
@@ -513,6 +497,6 @@ def decomposition_check(
         for j in units:
             weight += complex(chi(j)) * ajs[j]
         total += weight * zs
-    front = riemann_zeta(s1) / riemann_zeta(2 * s1) / (1 - _cpow(2, s1))
+    front = riemann_zeta(s1) / riemann_zeta(2 * s1) / (1 - _px(2, s1))
     rhs = front * total / 8
     return SeriesComparison.compare(lhs, rhs, spec)

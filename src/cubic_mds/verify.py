@@ -1,8 +1,10 @@
 """Numbered verification suites.
 
 Each suite checks one acceptance property end to end and returns a
-CriterionResult.  The same registry drives the command line (`verify`)
-and the acceptance tests, so a pass here is exactly a pass there.
+CriterionResult.  `_criterion` registers every suite in `SUITES` with
+its number, name and budget; that one registry drives the command line
+(`verify`) and the acceptance tests, so a pass here is exactly a pass
+there.
 
 Budgets are wall-clock seconds calibrated for a 4-core box; on smaller
 machines they are scaled up proportionally.  A criterion passes only
@@ -11,11 +13,13 @@ if the mathematical check succeeds within its scaled budget.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,27 +67,42 @@ def scaled_budget(reference_seconds: float) -> float:
     return reference_seconds * 4.0 / min(4, cores)
 
 
-def _finish(
-    number: int,
-    name: str,
-    ok: bool,
-    detail: str,
-    t0: float,
-    reference_seconds: float,
-) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    budget = scaled_budget(reference_seconds)
-    if elapsed > budget:
-        ok = False
-        detail += "; exceeded time budget"
-    return CriterionResult(
-        number=number,
-        name=name,
-        passed=ok,
-        detail=detail,
-        elapsed=elapsed,
-        budget=budget,
-    )
+SUITES: list[Callable[[], CriterionResult]] = []
+
+
+def _criterion(number: int, name: str, reference_seconds: float):
+    """Register a check returning (ok, detail) as criterion `number`.
+
+    The registered callable times the check, fails it when it overruns
+    its scaled budget, and returns the CriterionResult; it carries its
+    `number` and `suite_name` for selection by `run_suite`.
+    """
+
+    def register(check: Callable[[], tuple[bool, str]]):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, detail = check()
+            elapsed = time.perf_counter() - t0
+            budget = scaled_budget(reference_seconds)
+            if elapsed > budget:
+                ok = False
+                detail += "; exceeded time budget"
+            return CriterionResult(
+                number=number,
+                name=name,
+                passed=ok,
+                detail=detail,
+                elapsed=elapsed,
+                budget=budget,
+            )
+
+        run.number = number
+        run.suite_name = name
+        SUITES.append(run)
+        return run
+
+    return register
 
 
 # ======================================================================
@@ -91,10 +110,10 @@ def _finish(
 # ======================================================================
 
 
-def criterion_count_oracle() -> CriterionResult:
+@_criterion(1, "count-oracle", 60.0)
+def criterion_count_oracle() -> tuple[bool, str]:
     """C(m, n) by the multiplicative formula equals the exhaustive count
     for every 1 <= m <= 2000 and -2000 <= n <= 2000, exactly."""
-    t0 = time.perf_counter()
     m_max, n_lim = 2000, 2000
     ns = np.arange(-n_lim, n_lim + 1)
 
@@ -142,27 +161,35 @@ def criterion_count_oracle() -> CriterionResult:
         f"{mismatches} residue mismatches{first_bad}, "
         f"{sample_bad} scalar-route mismatches in 2000 samples"
     )
-    return _finish(1, "count-oracle", ok, detail, t0, 60.0)
+    return ok, detail
 
 
 # ======================================================================
-# criterion 2: form count equals counting coefficient
+# criterion 2: enumerated reduced forms number the counting coefficient
 # ======================================================================
 
 
-def criterion_form_bijection() -> CriterionResult:
-    """count_forms(m, n) = C(3m, -n) for all m, n <= 300, exactly."""
-    t0 = time.perf_counter()
+@_criterion(2, "form-bijection", 10.0)
+def criterion_form_bijection() -> tuple[bool, str]:
+    """The reduced forms (a, b, c) with 3ac - b^2 = n, enumerated by
+    `enumerate_representatives`, number C(3a, -n) for all a, n <= 300,
+    exactly."""
+    size = 300
+    counts = [[0] * (size + 1) for _ in range(size + 1)]
+    for a, _b, _c, n in forms.enumerate_representatives(
+        size, size, require_odd_squarefree=False
+    ):
+        counts[a][n] += 1
     bad = 0
     first_bad = ""
-    for m in range(1, 301):
-        for n in range(1, 301):
-            if forms.count_forms(m, n) != sqcount.coefficient(m, n):
+    for m in range(1, size + 1):
+        for n in range(1, size + 1):
+            if counts[m][n] != sqcount.coefficient(m, n):
                 bad += 1
                 if not first_bad:
                     first_bad = f"; first at (m={m}, n={n})"
     detail = f"90000 pairs exact, {bad} mismatches{first_bad}"
-    return _finish(2, "form-bijection", bad == 0, detail, t0, 10.0)
+    return bad == 0, detail
 
 
 # ======================================================================
@@ -170,10 +197,10 @@ def criterion_form_bijection() -> CriterionResult:
 # ======================================================================
 
 
-def criterion_local_factors() -> CriterionResult:
+@_criterion(3, "local-factors", 30.0)
+def criterion_local_factors() -> tuple[bool, str]:
     """Closed local factor vs 60-term local series, rel <= 1e-10,
     s = 2, for every prime p <= 53 and every n <= 400."""
-    t0 = time.perf_counter()
     worst = 0.0
     worst_at = ""
     for p in arith.primes_up_to(53):
@@ -186,7 +213,7 @@ def criterion_local_factors() -> CriterionResult:
                 worst_at = f"(p={p}, n={n})"
     ok = worst <= 1e-10
     detail = f"16 primes x 400 n, worst rel {worst:.3e} at {worst_at}"
-    return _finish(3, "local-factors", ok, detail, t0, 30.0)
+    return ok, detail
 
 
 # ======================================================================
@@ -194,10 +221,10 @@ def criterion_local_factors() -> CriterionResult:
 # ======================================================================
 
 
-def criterion_zn_closed() -> CriterionResult:
+@_criterion(4, "inner-series-closed-form", 120.0)
+def criterion_zn_closed() -> tuple[bool, str]:
     """Closed inner series vs 1e5-term truncation at s = 2.5,
     rel <= 1e-4 for every odd squarefree n <= 60, zeros exact."""
-    t0 = time.perf_counter()
     worst = 0.0
     worst_at = ""
     zero_bad = 0
@@ -221,7 +248,7 @@ def criterion_zn_closed() -> CriterionResult:
         f"{checked} odd squarefree n, worst rel {worst:.3e} at {worst_at}, "
         f"{zero_bad} wrong exact zeros"
     )
-    return _finish(4, "inner-series-closed-form", ok, detail, t0, 120.0)
+    return ok, detail
 
 
 # ======================================================================
@@ -229,10 +256,10 @@ def criterion_zn_closed() -> CriterionResult:
 # ======================================================================
 
 
-def criterion_character_decomposition() -> CriterionResult:
+@_criterion(5, "character-decomposition", 5.0)
+def criterion_character_decomposition() -> tuple[bool, str]:
     """a_n(s) = A_{n mod 24}(s) to 1e-12 for all n <= 1000 coprime to
     24 at s in {2, 3, 1.5 + 0.7i}."""
-    t0 = time.perf_counter()
     worst = 0.0
     count = 0
     for s in (2.0, 3.0, 1.5 + 0.7j):
@@ -244,7 +271,7 @@ def criterion_character_decomposition() -> CriterionResult:
             worst = max(worst, diff)
     ok = worst <= 1e-12
     detail = f"{count} (n, s) pairs, worst abs diff {worst:.3e}"
-    return _finish(5, "character-decomposition", ok, detail, t0, 5.0)
+    return ok, detail
 
 
 # ======================================================================
@@ -252,7 +279,8 @@ def criterion_character_decomposition() -> CriterionResult:
 # ======================================================================
 
 
-def criterion_gauss_sums() -> CriterionResult:
+@_criterion(6, "gauss-sums", 10.0)
+def criterion_gauss_sums() -> tuple[bool, str]:
     """Part 1: tau(chi) in {sqrt(k), i sqrt(k)} to 1e-10 for every real
     primitive chi of modulus <= 200.  Part 2: for n in {1, 5, 7, 11, 13},
     psi_n (mod q = 12n) is induced by chi* = (D/.) with D = -f and
@@ -265,7 +293,6 @@ def criterion_gauss_sums() -> CriterionResult:
     `arith` (mobius, kronecker), never from a character table or a
     Gauss sum.  |tau(psi_n)| is 0 or sqrt(f), so the literal target
     i sqrt(12 n) is unreachable for every n."""
-    t0 = time.perf_counter()
     worst1 = 0.0
     n_chars = 0
     for chi in real_primitive_characters(200):
@@ -304,7 +331,7 @@ def criterion_gauss_sums() -> CriterionResult:
         f"part 2: worst |tau - mu chi*(q/f) i sqrt(f)| = {worst2:.3e}"
         f" ({'ok' if part2_ok else 'FAIL'}: {'; '.join(measured)})"
     )
-    return _finish(6, "gauss-sums", ok, detail, t0, 10.0)
+    return ok, detail
 
 
 # ======================================================================
@@ -312,10 +339,10 @@ def criterion_gauss_sums() -> CriterionResult:
 # ======================================================================
 
 
-def criterion_functional_equation() -> CriterionResult:
+@_criterion(7, "functional-equation", 30.0)
+def criterion_functional_equation() -> tuple[bool, str]:
     """|Lambda(1-s) - Lambda(s)| / |Lambda(s)| <= 1e-8 for
     n in {1, 5, 7, 11, 13, 17} at s in {0.3, 0.75, 0.6+2i, 0.5+5i}."""
-    t0 = time.perf_counter()
     worst = 0.0
     worst_at = ""
     for n in (1, 5, 7, 11, 13, 17):
@@ -326,7 +353,7 @@ def criterion_functional_equation() -> CriterionResult:
                 worst_at = f"(n={n}, s={s})"
     ok = worst <= 1e-8
     detail = f"24 grid points, worst rel {worst:.3e} at {worst_at}"
-    return _finish(7, "functional-equation", ok, detail, t0, 30.0)
+    return ok, detail
 
 
 # ======================================================================
@@ -334,10 +361,10 @@ def criterion_functional_equation() -> CriterionResult:
 # ======================================================================
 
 
-def criterion_squarefree_l_identity() -> CriterionResult:
+@_criterion(8, "squarefree-l-identity", 30.0)
+def criterion_squarefree_l_identity() -> tuple[bool, str]:
     """L(2w, psi^2) L_b(w, psi) = L(w, psi) prod_{p|b}(1+psi(p)p^-w)^-1
     to 1e-6 at w = 2.5 for every psi of modulus <= 60 and b <= 30."""
-    t0 = time.perf_counter()
     w = 2.5
     terms = 20000
     worst = 0.0
@@ -359,7 +386,7 @@ def criterion_squarefree_l_identity() -> CriterionResult:
                     worst_at = f"(q={q}, b={b})"
     ok = worst <= 1e-6
     detail = f"{combos} (psi, b) combos, worst rel {worst:.3e} at {worst_at}"
-    return _finish(8, "squarefree-l-identity", ok, detail, t0, 30.0)
+    return ok, detail
 
 
 # ======================================================================
@@ -367,11 +394,11 @@ def criterion_squarefree_l_identity() -> CriterionResult:
 # ======================================================================
 
 
-def criterion_residue_identity() -> CriterionResult:
+@_criterion(9, "residue-identity", 60.0)
+def criterion_residue_identity() -> tuple[bool, str]:
     """The unfolded residue-proof identity to rel 1e-3 at (2.5, 2.0)
     with cutoffs 2000, and the residue product at s1 = 1/2 stable to
     1e-8 between prime cutoffs 1e4 and 2e4."""
-    t0 = time.perf_counter()
     triv = next(c for c in characters_mod24() if c.is_principal)
     spec = mds.TruncationSpec(m_cutoff=2000, n_cutoff=2000, tolerance=1e-3)
     cmp1 = mds.residue_identity_check(triv, 2.5, 2.0, spec)
@@ -383,7 +410,7 @@ def criterion_residue_identity() -> CriterionResult:
         f"identity rel {cmp1.rel_err:.3e} (tol 1e-3), "
         f"product gap {gap:.3e} between P=1e4 and 2e4 (tol 1e-8)"
     )
-    return _finish(9, "residue-identity", ok, detail, t0, 60.0)
+    return ok, detail
 
 
 # ======================================================================
@@ -391,10 +418,10 @@ def criterion_residue_identity() -> CriterionResult:
 # ======================================================================
 
 
-def criterion_global_regrouping() -> CriterionResult:
+@_criterion(10, "global-regrouping", 60.0)
+def criterion_global_regrouping() -> tuple[bool, str]:
     """Z_direct = Z_coeff to 1e-13 at cutoffs (300, 300), s = (2, 2);
     the coprime-to-6 decomposition to 1e-8 at (2.5, 2.0)."""
-    t0 = time.perf_counter()
     spec_a = mds.TruncationSpec(m_cutoff=300, n_cutoff=300, tolerance=1e-13)
     za = mds.Z_direct(2.0, 2.0, spec_a)
     zb = mds.Z_coeff(2.0, 2.0, spec_a)
@@ -408,51 +435,21 @@ def criterion_global_regrouping() -> CriterionResult:
         f"regrouping |diff| {diff:.3e} (tol 1e-13), "
         f"decomposition rel {cmp_d.rel_err:.3e} (tol 1e-8)"
     )
-    return _finish(10, "global-regrouping", ok, detail, t0, 60.0)
-
-
-# ======================================================================
-# registry
-# ======================================================================
-
-SUITES = (
-    criterion_count_oracle,
-    criterion_form_bijection,
-    criterion_local_factors,
-    criterion_zn_closed,
-    criterion_character_decomposition,
-    criterion_gauss_sums,
-    criterion_functional_equation,
-    criterion_squarefree_l_identity,
-    criterion_residue_identity,
-    criterion_global_regrouping,
-)
-
-SUITE_NAMES = {
-    1: "count-oracle",
-    2: "form-bijection",
-    3: "local-factors",
-    4: "inner-series-closed-form",
-    5: "character-decomposition",
-    6: "gauss-sums",
-    7: "functional-equation",
-    8: "squarefree-l-identity",
-    9: "residue-identity",
-    10: "global-regrouping",
-}
+    return ok, detail
 
 
 def run_suite(selector: str) -> list[CriterionResult]:
     """Run "all", a criterion number ("3"), or a suite name."""
     selector = selector.strip().lower()
-    if selector == "all":
-        return [fn() for fn in SUITES]
-    by_name = {name: num for num, name in SUITE_NAMES.items()}
-    if selector.isdigit() and int(selector) in SUITE_NAMES:
-        return [SUITES[int(selector) - 1]()]
-    if selector in by_name:
-        return [SUITES[by_name[selector] - 1]()]
-    raise ValueError(
-        f"unknown suite {selector!r}; use 'all', 1..10, or one of "
-        + ", ".join(sorted(by_name))
-    )
+    chosen = [
+        fn
+        for fn in SUITES
+        if selector in ("all", fn.suite_name)
+        or (selector.isdigit() and int(selector) == fn.number)
+    ]
+    if not chosen:
+        raise ValueError(
+            f"unknown suite {selector!r}; use 'all', 1..{len(SUITES)}, or one of "
+            + ", ".join(sorted(fn.suite_name for fn in SUITES))
+        )
+    return [fn() for fn in chosen]

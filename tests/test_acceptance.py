@@ -23,7 +23,7 @@ from cubic_mds import verify
 @pytest.mark.parametrize(
     "suite",
     verify.SUITES,
-    ids=[f"{i:02d}-{verify.SUITE_NAMES[i]}" for i in range(1, 11)],
+    ids=[f"{fn.number:02d}-{fn.suite_name}" for fn in verify.SUITES],
 )
 def test_acceptance_criterion(suite, record_property):
     result = suite()

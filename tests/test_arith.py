@@ -120,12 +120,6 @@ def test_kronecker_periodicity_odd_bottoms():
             assert arith.kronecker(a, b) == arith.kronecker(a, b + period)
 
 
-def test_chi_d_agrees_with_kronecker():
-    for d in [-3, -4, 5, 8, -20, 13]:
-        for n in range(1, 60):
-            assert arith.chi_d(d, n) == arith.kronecker(d, n)
-
-
 # ======================================================================
 # squarefree structure
 # ======================================================================

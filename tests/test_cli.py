@@ -15,7 +15,7 @@ def test_parse_complex():
     assert cli.parse_complex("2.5") == 2.5 + 0j
     assert cli.parse_complex("2,0") == 2.0 + 0j
     assert cli.parse_complex("-0.5,3.25") == -0.5 + 3.25j
-    for bad in ["", "a", "1,2,3", "1;2"]:
+    for bad in ["", "a", "1,2,3", "1;2", "nan", "inf", "1,nan"]:
         with pytest.raises(ValueError):
             cli.parse_complex(bad)
 
@@ -109,11 +109,15 @@ def test_zeta2_command(capsys):
 # ======================================================================
 
 
-def test_table_zn_deterministic_across_jobs(capsys):
+def test_table_zn_deterministic_across_jobs(capsys, monkeypatch):
+    # The pool is sized from the core count: 1 runs serially, 3 starts
+    # three workers for the four rows (n = 1, 3, 5, 7).
     args = ["table", "zn", "--s", "2.5", "--nmax", "9", "--cutoff", "4000"]
-    assert cli.main(["--jobs", "1"] + args) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert cli.main(args) == 0
     first = capsys.readouterr().out
-    assert cli.main(["--jobs", "3"] + args) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli.main(args) == 0
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0] == (
@@ -161,6 +165,10 @@ def test_exit_code_on_malformed_input(capsys):
     assert cli.main(["euler", "3", "7", "--s", "junk"]) == 2
     assert cli.main(["lfun", "--char", "nope:1", "--s", "2"]) == 2
     assert cli.main(["zn", "4", "--s", "2.5"]) == 2
+    assert cli.main(["zn", "5", "--s", "nan"]) == 2
+    assert cli.main(["lfun", "--char", "eta:-5", "--s", "nan"]) == 2
+    assert cli.main(["verify", "nope"]) == 2
+    assert cli.main(["verify", "11"]) == 2
     assert cli.main(["count", "45"]) == 2  # argparse usage error
     capsys.readouterr()
 

@@ -92,14 +92,6 @@ def test_count_forms_equals_coefficient():
             assert forms.count_forms(m, n) == sqcount.coefficient(m, n), (m, n)
 
 
-def test_count_forms_dual_route_alias():
-    for m in range(1, 25):
-        for n in range(1, 25):
-            assert forms.count_forms_from_coefficient(m, n) == (
-                forms.count_forms(m, n)
-            )
-
-
 def test_enumeration_multiplicities():
     rows = list(forms.enumerate_representatives(20, 40, False))
     tally: dict[tuple[int, int], int] = {}

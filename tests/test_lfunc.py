@@ -99,6 +99,9 @@ def test_hurwitz_guards():
         hurwitz_zeta(2.0, 0.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, 1.5)
+    for s in (float("nan"), complex(2.0, float("inf"))):
+        with pytest.raises(ValueError):
+            hurwitz_zeta(s, 0.5)
 
 
 def test_riemann_zeta_against_mpmath():
