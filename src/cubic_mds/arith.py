@@ -328,7 +328,7 @@ def squarefree_mask(limit: int) -> np.ndarray:
 
 
 # ======================================================================
-# p^(-s) and the pole guard of the closed forms
+# p^(-s), the finiteness check and the pole guard of the closed forms
 # ======================================================================
 
 _POLE_EPS = 1e-13
@@ -337,6 +337,13 @@ _POLE_EPS = 1e-13
 def _px(p: float, s: complex) -> complex:
     """p^(-s) for real p > 0, via exp so large real parts never overflow."""
     return cmath.exp(-s * math.log(p))
+
+
+def _finite(s: complex) -> complex:
+    """s itself; ValueError when it is nan or infinite."""
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    return s
 
 
 def _guard(value: complex, what: str) -> complex:

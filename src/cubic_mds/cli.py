@@ -59,10 +59,25 @@ def parse_complex(text: str) -> complex:
     return complex(re, im)
 
 
+# Largest character table `lfun` builds: eta:-N tabulates 4N entries
+# and psi:N 12N, so N <= 25000 and N <= 8333.  At the ceiling `lfun`
+# takes about a second and under 200 MB, |Im s| <= 50 included.
+_MAX_TABLE = 100_000
+
+
+def _table_ceiling(form: str, n: int, per_n: int) -> None:
+    if per_n * n > _MAX_TABLE:
+        raise ValueError(
+            f"{form} tabulates {per_n}N entries, at most {_MAX_TABLE}: "
+            f"N must be <= {_MAX_TABLE // per_n}, got {n}"
+        )
+
+
 def parse_character(spec: str) -> DirichletCharacter:
-    """Character SPEC: 'eta:-N' (the symbol (-N/.)), 'mod24:J' with J a
-    3-bit index giving the values at 5, 7, 13 (set bit = -1), or
-    'psi:N' (the completed twist attached to N)."""
+    """Character SPEC: 'eta:-N' (the symbol (-N/.), N <= 25000),
+    'mod24:J' with J a 3-bit index giving the values at 5, 7, 13 (set
+    bit = -1), or 'psi:N' (the completed twist attached to N, N <= 8333).
+    The ceilings keep a table to _MAX_TABLE entries."""
     kind, _, arg = spec.partition(":")
     if not arg:
         raise ValueError(f"character spec {spec!r} needs KIND:ARG")
@@ -70,6 +85,7 @@ def parse_character(spec: str) -> DirichletCharacter:
         t = int(arg)
         if t >= 0:
             raise ValueError("eta takes a negative top, e.g. eta:-5")
+        _table_ceiling("eta:-N", -t, 4)
         return character_eta(-t)
     if kind == "mod24":
         j = int(arg)
@@ -77,7 +93,9 @@ def parse_character(spec: str) -> DirichletCharacter:
             raise ValueError("mod24 index must be 0..7")
         return characters_mod24()[j]
     if kind == "psi":
-        return psi_n_character(int(arg))
+        n = int(arg)
+        _table_ceiling("psi:N", n, 12)
+        return psi_n_character(n)
     raise ValueError(f"unknown character kind {kind!r}; use eta, mod24, psi")
 
 
@@ -400,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lfun", help="Dirichlet L value")
     p.add_argument("--char", required=True,
-                   help="eta:-N | mod24:J | psi:N")
+                   help="eta:-N (N <= 25000) | mod24:J | psi:N (N <= 8333)")
     p.add_argument("--s", required=True)
     p.set_defaults(fn=_cmd_lfun)
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, sqcount
-from .arith import _guard, _px
+from .arith import _finite, _guard, _px
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,10 @@ def local_factor_closed(p: int, n: int, s: complex) -> complex:
     """Closed-form Z_{n,p}(s); full case dispatch on the ramification.
 
     Raises PoleError when s sits within 1e-13 of a pole of the relevant
-    rational function.
+    rational function, ValueError when s is not finite.
     """
     _check_domain(p, n)
+    _finite(s)
     if p == 3:
         return _closed_at_three(n, s)
     x = _px(p, s)

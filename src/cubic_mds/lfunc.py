@@ -26,6 +26,7 @@ primitive completion is self-dual under s -> 1-s.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from math import gcd
 import numpy as np
 
 from . import arith
-from .arith import _POLE_EPS, _guard, _px
+from .arith import _POLE_EPS, _finite, _guard, _px
 from .errors import PoleError
 
 _ONE_EPS = 1e-9
@@ -140,9 +141,7 @@ def _hurwitz_block(
     With deflate=True returns zeta(s, x) - 1/(s-1), finite at s = 1.
     Second result is a per-point error estimate.
     """
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
+    s = _finite(complex(s))
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0) or np.any(xs > 1):
         raise ValueError("hurwitz_zeta requires x in (0, 1]")
@@ -648,21 +647,56 @@ def L_removed_23(chi: DirichletCharacter, s: complex) -> complex:
     return base * f2 * f3
 
 
+@functools.lru_cache(maxsize=4)
+def _squarefree_powers(N: int, w: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The squarefree d <= N in ascending order and d^(-w), read-only."""
+    dk = np.flatnonzero(arith.squarefree_mask(N)[1:]) + 1
+    dw = np.power(dk.astype(float), -w)
+    dk.setflags(write=False)
+    dw.setflags(write=False)
+    return dk, dw
+
+
+@functools.lru_cache(maxsize=32)
+def _coprime_index(N: int, b: int) -> np.ndarray:
+    """Positions of the d coprime to b among the squarefree d <= N, read-only."""
+    dk = np.flatnonzero(arith.squarefree_mask(N)[1:]) + 1
+    idx = np.flatnonzero(np.gcd(dk, b) == 1)
+    idx.setflags(write=False)
+    return idx
+
+
+def L_squarefree_restricted_table(
+    psi: DirichletCharacter, bs, w: complex, N: int
+) -> np.ndarray:
+    """Truncated sums over squarefree d <= N coprime to b of psi(d) d^(-w),
+    one entry per b in `bs`.
+
+    The summands psi(d) d^(-w) are formed once for every squarefree d;
+    each b then sums the ones coprime to it, in ascending order of d.
+    """
+    bs = list(bs)
+    if N < 1 or any(b < 1 for b in bs):
+        raise ValueError("b and N must be >= 1")
+    w = complex(w)
+    dk, dw = _squarefree_powers(N, w)
+    psi_table = np.asarray([complex(v) for v in psi.values], dtype=complex)
+    weighted = psi_table[dk % psi.modulus] * dw
+    return np.array(
+        [
+            np.sum(weighted.take(_coprime_index(N, b))) if b > 1
+            else np.sum(weighted)
+            for b in bs
+        ],
+        dtype=complex,
+    )
+
+
 def L_squarefree_restricted(
     psi: DirichletCharacter, b: int, w: complex, N: int
 ) -> complex:
     """Truncated sum over squarefree d <= N coprime to b of psi(d) d^(-w)."""
-    if b < 1 or N < 1:
-        raise ValueError("b and N must be >= 1")
-    w = complex(w)
-    q = psi.modulus
-    d = np.arange(1, N + 1)
-    keep = arith.squarefree_mask(N)[1:]
-    if b > 1:
-        keep = keep & (np.gcd(d, b) == 1)
-    dk = d[keep]
-    vals = np.asarray([complex(v) for v in psi.values], dtype=complex)[dk % q]
-    return complex(np.sum(vals * np.power(dk.astype(float), -w)))
+    return complex(L_squarefree_restricted_table(psi, (b,), w, N)[0])
 
 
 def lb_finite_product(psi: DirichletCharacter, b: int, w: complex) -> complex:
@@ -689,9 +723,9 @@ def A_j(j: int, s: complex) -> complex:
     """Nine-branch rational factor in 2^(-s), 3^(-s), keyed by j mod 24.
 
     Branch selection narrows by residue: first mod 3, then mod 6,
-    mod 12, and finally mod 24.
+    mod 12, and finally mod 24.  ValueError when s is not finite.
     """
-    s = complex(s)
+    s = _finite(complex(s))
     x2 = _px(2, s)
     x3 = _px(3, s)
     if j % 3 == 1:
@@ -768,6 +802,12 @@ def Z_n_closed(n: int, s: complex) -> complex:
     return z1 / z2 * branch * lval / _guard(1 - x2, "1 - 2^-s")
 
 
+@functools.lru_cache(maxsize=4)
+def _primitive_psi(n: int) -> DirichletCharacter:
+    """primitive_part(psi_n_character(n)), kept for the last few n."""
+    return primitive_part(psi_n_character(n))
+
+
 def completed_Lambda(n: int, s: complex) -> complex:
     """Completed L-value (pi/f)^(-(s+1)/2) Gamma((s+1)/2) L(s, chi_f).
 
@@ -776,10 +816,11 @@ def completed_Lambda(n: int, s: complex) -> complex:
     conductor the function is exactly self-dual: Lambda(1-s) =
     Lambda(s), which the functional-equation suite checks.  The raw
     mod-12n table cannot be used here: it is imprimitive, and a
-    completed L built on the modulus 12n is not self-dual.
+    completed L built on the modulus 12n is not self-dual.  The
+    primitive character is built once per n and reused across s.
     """
     s = complex(s)
-    prim = primitive_part(psi_n_character(n))
+    prim = _primitive_psi(n)
     f = prim.modulus
     front = _px(math.pi / f, (s + 1) / 2)
     gam = complex_gamma((s + 1) / 2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, forms, sqcount
-from .arith import _px
+from .arith import _finite, _px
 from .errors import PoleError
 from .euler import local_factor_closed
 from .lfunc import (
@@ -213,8 +213,9 @@ def Z_n_oracle(n: int, s: complex, m_cutoff: int) -> complex:
     """Truncated inner series sum_{m <= M} C(3m,-n) m^(-s).
 
     Brute reference for the closed form and the local-factor product;
-    meaningful for Re(s) > 1.
+    meaningful for Re(s) > 1.  ValueError when s is not finite.
     """
+    _finite(s)
     coeffs = np.asarray(sqcount.coefficient_sieve(n, m_cutoff)[1:], dtype=float)
     powers = _inverse_powers(m_cutoff, s)
     return complex(coeffs @ powers)

@@ -1,4 +1,15 @@
-"""Shared pytest wiring: surface the acceptance verdict lines."""
+"""Shared pytest wiring: a reproducible hypothesis profile, and the
+acceptance verdict lines surfaced in the terminal summary."""
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Same examples on every run, and no per-example deadline: a slow
+    # machine must not fail a property that holds.
+    settings.register_profile("tier1", derandomize=True, deadline=None)
+    settings.load_profile("tier1")
 
 
 def pytest_terminal_summary(terminalreporter):

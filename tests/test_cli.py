@@ -32,6 +32,22 @@ def test_parse_character():
             cli.parse_character(bad)
 
 
+def test_parse_character_table_ceiling(monkeypatch):
+    # At the ceiling a table has at most 100000 entries; one past it is
+    # refused before any table is built.
+    assert cli.parse_character("eta:-25000").modulus == 100000
+    assert cli.parse_character("psi:8333").modulus == 99996
+
+    def no_table(n):
+        raise AssertionError("table built before the ceiling check")
+
+    monkeypatch.setattr(cli, "character_eta", no_table)
+    monkeypatch.setattr(cli, "psi_n_character", no_table)
+    for bad in ["eta:-25001", "psi:8335"]:
+        with pytest.raises(ValueError, match="N must be <="):
+            cli.parse_character(bad)
+
+
 # ======================================================================
 # single-shot commands
 # ======================================================================
@@ -167,6 +183,8 @@ def test_exit_code_on_malformed_input(capsys):
     assert cli.main(["zn", "4", "--s", "2.5"]) == 2
     assert cli.main(["zn", "5", "--s", "nan"]) == 2
     assert cli.main(["lfun", "--char", "eta:-5", "--s", "nan"]) == 2
+    assert cli.main(["lfun", "--char", "eta:-25001", "--s", "2"]) == 2
+    assert cli.main(["lfun", "--char", "psi:8335", "--s", "2"]) == 2
     assert cli.main(["verify", "nope"]) == 2
     assert cli.main(["verify", "11"]) == 2
     assert cli.main(["count", "45"]) == 2  # argparse usage error

@@ -112,6 +112,9 @@ def test_domain_validation():
         local_factor_closed(5, 0, 2.0)
     with pytest.raises(ValueError):
         local_factor_oracle(LocalFactorInput(6, 1, 2.0, 40))
+    for s in (float("nan"), float("inf"), complex(1.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            local_factor_closed(5, 7, s)
 
 
 def test_pole_guard():

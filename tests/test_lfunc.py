@@ -99,8 +99,9 @@ def test_hurwitz_guards():
         hurwitz_zeta(2.0, 0.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, 1.5)
-    for s in (float("nan"), complex(2.0, float("inf"))):
-        with pytest.raises(ValueError):
+    for s in (float("nan"), float("inf"), complex(1.0, float("nan")),
+              complex(2.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
             hurwitz_zeta(s, 0.5)
 
 
@@ -372,6 +373,13 @@ def test_A_j_vanishes_on_1_mod_3():
     for j in (1, 7, 13, 19):
         assert A_j(j, 2.0) == 0
         assert A_j(j, 1.5 + 0.7j) == 0
+
+
+def test_A_j_rejects_non_finite_s():
+    for s in (float("nan"), float("inf"), complex(1.0, float("nan"))):
+        for j in (1, 5):
+            with pytest.raises(ValueError, match="finite"):
+                A_j(j, s)
 
 
 def test_A_j_explicit_at_s2():

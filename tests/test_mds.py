@@ -92,6 +92,16 @@ def test_zn_oracle_matches_sieve_sum():
     assert abs(mds.Z_n_oracle(n, s, cutoff) - want) < 1e-12
 
 
+def test_zn_oracle_rejects_non_finite_s_before_sieving(monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("sieve built before the check on s")
+
+    monkeypatch.setattr(mds.sqcount, "coefficient_sieve", no_sieve)
+    for s in (float("nan"), float("inf"), complex(1.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            mds.Z_n_oracle(5, s, 100)
+
+
 def test_zn_euler_product_converges_to_oracle():
     for n in [3, 5, 23]:
         prod = mds.Z_n_euler_product(n, 2.5, 20000)
