@@ -30,9 +30,17 @@ from .errors import PoleError
 
 _MAX_FACTOR_INPUT = 2**63 - 1
 
+# Trial divisors; a number below 41^2 with none of them as a factor is prime.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 # Witnesses proving primality for every n < 3.3e24, comfortably past the
 # 63-bit input contract (Sorenson-Webster bases).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = _SMALL_PRIMES
+
+# 3,215,031,751 is the least strong pseudoprime to the bases 2, 3, 5 and
+# 7, so below it those four witnesses decide primality (Jaeschke 1993).
+_MR_SMALL_LIMIT = 3_215_031_751
+_MR_SMALL_WITNESSES = (2, 3, 5, 7)
 
 
 # ======================================================================
@@ -40,18 +48,25 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # ======================================================================
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the 63-bit range."""
+    """Deterministic Miller-Rabin for the 63-bit range.
+
+    Trial division by the primes up to 37 settles n < 41^2; above that
+    four witnesses serve below 3,215,031,751 and twelve beyond.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_LIMIT else _MR_WITNESSES
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -306,16 +321,21 @@ def spf_list(limit: int) -> list[int]:
     return _SPF_LIST
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """Ascending primes p <= limit."""
+def _prime_array(limit: int) -> np.ndarray:
+    """Ascending primes p <= limit as an int64 array (Eratosthenes)."""
     if limit < 2:
-        return []
-    mask = bytearray([1]) * (limit + 1)
-    mask[0] = mask[1] = 0
+        return np.zeros(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
-            mask[p * p :: p] = bytearray(len(mask[p * p :: p]))
-    return [i for i in range(limit + 1) if mask[i]]
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """Ascending primes p <= limit."""
+    return _prime_array(limit).tolist()
 
 
 def squarefree_mask(limit: int) -> np.ndarray:

@@ -365,7 +365,7 @@ def _cmd_table(args) -> int:
         for n in range(1, args.nmax + 1, 2):
             if not arith.is_squarefree(n):
                 continue
-            coeffs = sqcount.coefficient_sieve(n, args.mmax)
+            coeffs = sqcount.coefficient_sieve(n, args.mmax).tolist()
             for m in range(1, args.mmax + 1):
                 lines.append(f"{m},{n},{coeffs[m]}")
                 results.append({"m": m, "n": n, "coefficient": coeffs[m]})

@@ -784,13 +784,13 @@ def Z_n_closed(n: int, s: complex) -> complex:
     at 2 compensates the removed factor there: the branch table A_j
     carries the true 2-adic unit contribution, so only the trivial
     (1 - 2^-s)^(-1) from zeta remains to be restored.  Identically zero
-    when n = 1 mod 3.
+    when n = 1 mod 3.  ValueError when s is not finite, for every n.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"Z_n_closed requires odd positive n, got {n}")
     if not arith.is_squarefree(n):
         raise ValueError(f"Z_n_closed requires squarefree n, got {n}")
-    s = complex(s)
+    s = _finite(complex(s))
     j = n % 24
     if j % 3 == 1:
         return 0j

@@ -9,9 +9,18 @@ Two independent routes are kept side by side on purpose: an exhaustive
 counter (`count_roots_bruteforce`, plus a whole-residue-table variant)
 and the closed formula (`count_roots_prime_power` assembled by
 `count_roots`).  Tests pit one against the other.
+
+`coefficient_sieve` gives every coefficient of one n-slice up to a
+cutoff at once, as an int64 numpy array.  It takes its per-prime values
+from `count_roots_prime_power` and does the multiplicative fill with
+strided numpy updates; tests check it against `coefficient`.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from . import arith
 from .errors import OracleScaleError
@@ -117,55 +126,90 @@ def coefficient(m: int, n: int) -> int:
     return count_roots(3 * m, -n)
 
 
-def coefficient_sieve(n: int, m_cutoff: int) -> list[int]:
-    """[0, C(3*1, -n), ..., C(3*m_cutoff, -n)] by multiplicative sieve.
+def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
+    """[0, C(3*1, -n), ..., C(3*m_cutoff, -n)] as an int64 array, by sieve.
 
-    Index 0 is a placeholder.  Identical to calling coefficient(m, n)
-    for each m, but fills a smallest-prime-factor table once and reuses
-    prime-power counts, which is what makes cutoffs in the millions
-    affordable.
+    Index 0 is a placeholder.  Equal, entry for entry, to calling
+    coefficient(m, n) for each m.  int64 is exact by a bound, not by an
+    observed maximum: C(3m, -n) counts residues mod 3m, so it is at most
+    3m <= 3*m_cutoff, and every partial product below is a factor of it.
+
+    The fill rests on one fact: a prime p not dividing 6n contributes
+    1 + (-n/p), which is 0 or 2, at every exponent.  (-n/p) depends only
+    on p mod 4n, so count_roots_prime_power(p, 1, -n) is called once per
+    residue class that holds a prime <= m_cutoff.  An inert prime zeroes
+    its multiples; a split prime adds 1 to an int8 counter at each
+    multiple, and h <<= counter applies them all.  A prime p dividing 2n,
+    other than 3, multiplies h by C(p^e, -n) at exponent e = v_p(m).  The
+    3-part is left out of h and applied last, at exponent v_3(m) + 1, the
+    3-exponent of 3m.
     """
     if n < 1 or m_cutoff < 1:
         raise ValueError(
             f"coefficient_sieve requires n, m_cutoff >= 1, got ({n}, {m_cutoff})"
         )
-    spf = arith.spf_list(m_cutoff)
-    ppc: dict[tuple[int, int], int] = {}
+    primes = arith._prime_array(m_cutoff)
+    special = _residues(2 * n, primes) == 0
+    generic = primes[~special & (primes != 3)]
+    split = _generic_counts(n, generic) == 2
 
-    def local(p: int, e: int) -> int:
-        key = (p, e)
-        v = ppc.get(key)
-        if v is None:
-            v = count_roots_prime_power(p, e, -n)
-            ppc[key] = v
-        return v
+    h = np.ones(m_cutoff + 1, dtype=np.int64)
+    for idx in _multiples(generic[~split], m_cutoff):
+        h[idx] = 0
+    cnt = np.zeros(m_cutoff + 1, dtype=np.int8)
+    for idx in _multiples(generic[split], m_cutoff):
+        cnt[idx] += 1
+    h <<= cnt
 
-    # h[k] = C(k, -n), multiplicative fill.
-    h = [0] * (m_cutoff + 1)
-    h[1] = 1
-    for m in range(2, m_cutoff + 1):
-        p = spf[m]
-        q = m // p
-        e = 1
-        while q % p == 0:
-            q //= p
-            e += 1
-        hq = h[q]
-        h[m] = hq * local(p, e) if hq else 0
+    for p in primes[special & (primes != 3)].tolist() + [3]:
+        shift = 1 if p == 3 else 0
+        v = np.zeros(m_cutoff + 1, dtype=np.int8)
+        q = p
+        top = 0
+        while q <= m_cutoff:
+            v[q::q] += 1
+            q *= p
+            top += 1
+        local = [count_roots_prime_power(p, e + shift, -n) for e in range(top + 1)]
+        h *= np.array(local, dtype=np.int64)[v]
+    h[0] = 0
+    return h
 
-    # three_part[j] = C(3^(j+1), -n); the 3-exponent of 3m is v3(m) + 1.
-    three_part = [local(3, 1)]
-    g = [0] * (m_cutoff + 1)
-    for m in range(1, m_cutoff + 1):
-        if m % 3:
-            g[m] = three_part[0] * h[m]
-        else:
-            t = m
-            e = 0
-            while t % 3 == 0:
-                t //= 3
-                e += 1
-            while len(three_part) <= e:
-                three_part.append(local(3, len(three_part) + 1))
-            g[m] = three_part[e] * h[t]
-    return g
+
+def _residues(a: int, moduli: np.ndarray) -> np.ndarray:
+    """a mod q for each q in moduli, exact for any Python int a >= 0."""
+    if a < 2**62:
+        return a % moduli
+    return np.array([a % q for q in moduli.tolist()], dtype=np.int64)
+
+
+def _generic_counts(n: int, primes: np.ndarray) -> np.ndarray:
+    """C(p, -n) for primes p not dividing 6n, one call per class mod 4n."""
+    period = 4 * n
+    # A period past int64 exceeds every prime, which is then its own class.
+    classes = primes % period if period < 2**62 else primes
+    _, first, where = np.unique(classes, return_index=True, return_inverse=True)
+    counts = [count_roots_prime_power(p, 1, -n) for p in primes[first].tolist()]
+    return np.array(counts, dtype=np.int64)[where]
+
+
+def _multiples(primes: np.ndarray, limit: int):
+    """Index sets covering each multiple k*p <= limit of the primes once.
+
+    No set repeats an index, so fancy-index updates through them are
+    exact.  Primes up to sqrt(limit) give one strided slice each; the
+    larger ones are taken a multiplier k at a time, as k * P over the
+    primes P <= limit // k, so the full list of multiples is never built.
+    """
+    root = math.isqrt(limit)
+    cut = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:cut].tolist():
+        yield slice(p, limit + 1, p)
+    large = primes[cut:]
+    if large.size:
+        ks = np.arange(1, limit // (root + 1) + 1)
+        counts = np.searchsorted(large, limit // ks, side="right").tolist()
+        for k, c in enumerate(counts, start=1):
+            if c == 0:
+                break
+            yield k * large[:c]

@@ -417,6 +417,14 @@ def test_Z_n_closed_vs_partial_sum():
         assert abs(got - partial) <= 2e-5 * max(1.0, abs(got)), n
 
 
+def test_Z_n_closed_rejects_non_finite_s():
+    # n = 7 is a zero slice: s is checked before that early return.
+    for s in (float("nan"), float("inf"), complex(1.0, float("nan"))):
+        for n in (7, 5):
+            with pytest.raises(ValueError, match="finite"):
+                Z_n_closed(n, s)
+
+
 def test_Z_n_closed_rejects_bad_n():
     for n in [2, 9, 45]:
         with pytest.raises(ValueError):

@@ -9,6 +9,11 @@ import pytest
 from cubic_mds import sqcount
 from cubic_mds.errors import OracleScaleError
 
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property test below is then not collected
+    given = None
+
 # ======================================================================
 # exhaustive cross-check
 # ======================================================================
@@ -129,6 +134,29 @@ def test_coefficient_sieve_matches_scalar():
         sieved = sqcount.coefficient_sieve(n, 200)
         for m in range(1, 201):
             assert sieved[m] == sqcount.coefficient(m, n), (m, n)
+
+
+if given is not None:
+    # n divisible by 2, 3 or a square takes the exponent-by-exponent path.
+    sieve_n = st.one_of(
+        st.sampled_from((3, 9, 27, 4, 8, 12, 18, 25, 45, 49, 72)),
+        st.integers(1, 2000),
+    )
+
+    @given(n=sieve_n, m_cutoff=st.integers(1, 3000))
+    def test_coefficient_sieve_property(n, m_cutoff):
+        sieved = sqcount.coefficient_sieve(n, m_cutoff)
+        assert sieved.dtype == np.int64
+        assert sieved.shape == (m_cutoff + 1,)
+        want = [0] + [sqcount.coefficient(m, n) for m in range(1, m_cutoff + 1)]
+        assert sieved.tolist() == want
+
+
+def test_coefficient_sieve_n_past_int64():
+    # 2n and 4n no longer fit int64 here; residues are then taken in Python.
+    for n in (2**61 + 1, 2**70 + 3):
+        want = [0] + [sqcount.coefficient(m, n) for m in range(1, 301)]
+        assert sqcount.coefficient_sieve(n, 300).tolist() == want, n
 
 
 def test_coefficient_sieve_dtype_and_bounds():
