@@ -44,8 +44,14 @@ def _cx(z: complex) -> str:
     return f"{_g(z.real)}{sign}{_g(abs(z.imag))}j"
 
 
+# The accuracy envelope of the Hurwitz kernel is |Im s| <= 50, and its
+# arrays grow with |Im s|, so no command takes a point beyond it.
+_MAX_IM = 50.0
+
+
 def parse_complex(text: str) -> complex:
-    """"RE,IM" or "RE" (imaginary part zero); both parts finite."""
+    """"RE,IM" or "RE" (imaginary part zero); both parts finite and
+    |IM| <= 50, the documented envelope."""
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValueError(f"cannot parse complex number from {text!r}")
@@ -56,6 +62,10 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number from {text!r}") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"complex number {text!r} is not finite")
+    if abs(im) > _MAX_IM:
+        raise ValueError(
+            f"complex number {text!r} is outside the envelope |Im s| <= {_MAX_IM:g}"
+        )
     return complex(re, im)
 
 
@@ -221,8 +231,8 @@ def _cmd_zn(args) -> int:
 
 
 def _cmd_lfun(args) -> int:
-    chi = parse_character(args.char)
     s = parse_complex(args.s)
+    chi = parse_character(args.char)
     val = dirichlet_L(chi, s)
     results = [
         {"name": "hurwitz", "re": val.value.real, "im": val.value.imag,

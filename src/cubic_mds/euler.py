@@ -158,7 +158,11 @@ def local_factor_closed(p: int, n: int, s: complex) -> complex:
     rational function, ValueError when s is not finite.
     """
     _check_domain(p, n)
-    _finite(s)
+    return _local_factor(p, n, _finite(s))
+
+
+def _local_factor(p: int, n: int, s: complex) -> complex:
+    """`local_factor_closed` without the checks: p prime, n >= 1, s finite."""
     if p == 3:
         return _closed_at_three(n, s)
     x = _px(p, s)

@@ -1,7 +1,14 @@
 """Dirichlet characters, Gauss sums, and L-function evaluation.
 
 Characters are dense value tables on their modulus (the moduli here
-stay in the thousands, so no label machinery is needed).  L-functions
+stay in the thousands, so no label machinery is needed).  Each keeps
+its table twice: as a read-only numpy array (`table`: int8 for real
+characters, complex128 otherwise), which the builders fill and the
+conductor scan, primitive part and L-sums read without per-entry
+Python, and as a tuple of Python scalars (`values`), built once, which
+equality, hashing and `chi(m)` use.  The quadratic tables come from
+`jacobi_table`, the Jacobi symbol as a product of Legendre tables,
+through quadratic reciprocity.  L-functions
 are evaluated two independent ways: a truncated Dirichlet sum, honest
 only well right of the convergence line, and a Hurwitz-zeta route
 
@@ -201,38 +208,138 @@ def hurwitz_zeta(s: complex, x: float) -> complex:
 # characters
 # ======================================================================
 
+@functools.lru_cache(maxsize=4)
+def _unit_mask(q: int) -> np.ndarray:
+    """Read-only boolean array over 0..q-1, True on the units mod q."""
+    mask = np.ones(q, dtype=bool)
+    for p, _ in arith.factorize(q).factors:
+        mask[::p] = False
+    mask.setflags(write=False)
+    return mask
+
+
+def _divisors(q: int) -> list[int]:
+    """The divisors of q in ascending order."""
+    divs = [1]
+    for p, e in arith.factorize(q).factors:
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def jacobi_table(k: int) -> np.ndarray:
+    """int8 array r -> (r/k) over r = 0..k-1, for odd k >= 1.
+
+    The Jacobi symbol is the product of the Legendre symbols (r/p)^e
+    over p^e || k.  Each Legendre table is +1 on the squares mod p,
+    found as (1..(p-1)/2)^2 mod p, -1 on the other units and 0 at 0; an
+    even power keeps only the zero.
+    """
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"jacobi_table requires odd k >= 1, got {k}")
+    table = np.ones(k, dtype=np.int8)
+    for p, e in arith.factorize(k).factors:
+        legendre = np.full(p, -1, dtype=np.int8)
+        legendre[0] = 0
+        half = np.arange(1, (p + 1) // 2, dtype=np.int64)
+        legendre[half * half % p] = 1
+        if e % 2 == 0:
+            legendre *= legendre
+        table *= np.tile(legendre, k // p)
+    return table
+
+
+# Bits 1, 3, 5, ... of an int64: set in 2^v exactly when v is odd.
+_ODD_POWERS_OF_TWO = 0x2AAA_AAAA_AAAA_AAAA
+
+
+def _kronecker_column(top: int, m: np.ndarray) -> np.ndarray:
+    """kronecker(top, m) as int8 for an int64 array of m >= 1.
+
+    With m = 2^v m' (m' odd) and top = +-2^w t (t odd, t > 0),
+
+        (top/m) = (top/2)^v (-1/m')^[top < 0] (2/m')^w (m'/t) (-1)^e
+
+    where e = (t-1)/2 (m'-1)/2 is the reciprocity sign; (-1/m'),
+    (2/m') and that sign depend on m' mod 8 only, and (m'/t) is read
+    from `jacobi_table(t)`.
+    """
+    if top == 0:
+        return (m == 1).astype(np.int8)
+    low = m & -m
+    odd = m // low
+    r8 = odd % 8
+    w = arith.valuation(abs(top), 2)
+    t = abs(top) >> w
+    vals = jacobi_table(t)[odd % t]
+    flip = np.zeros(len(m), dtype=bool)
+    if top < 0:
+        flip ^= r8 % 4 == 3
+    if w % 2:
+        flip ^= (r8 == 3) | (r8 == 5)
+    if t % 4 == 3:
+        flip ^= r8 % 4 == 3
+    if top % 2 == 0:
+        vals[low > 1] = 0
+    elif top % 8 in (3, 5):
+        flip ^= (low & _ODD_POWERS_OF_TWO) != 0
+    vals[flip] = -vals[flip]
+    return vals
+
+
 class DirichletCharacter:
     """Dense-table character mod q.
 
-    values[m] is chi(m mod q); entries are exactly zero on residues
+    `table` is a read-only numpy array of chi(m) over m = 0..q-1: int8
+    when every value is -1, 0 or 1 (the real characters), complex128
+    otherwise.  `values` holds the same values as a tuple of Python
+    scalars, built once from the array; equality, hashing and
+    `__call__` read the tuple.  Entries are exactly zero on residues
     sharing a factor with q.  parity is 0 when chi(-1) = 1, 1 when
-    chi(-1) = -1.  The conductor (minimal inducing modulus) is computed
-    on first access and cached; construction itself stays cheap so bulk
-    sweeps can build thousands of tables.
+    chi(-1) = -1.  Principality and the conductor (minimal inducing
+    modulus) are computed on first access and cached; construction
+    itself stays cheap so bulk sweeps can build thousands of tables.
     """
 
-    __slots__ = ("modulus", "values", "parity", "is_real", "_conductor")
+    __slots__ = (
+        "modulus", "table", "values", "parity", "is_real",
+        "_conductor", "_principal",
+    )
 
     def __init__(self, modulus: int, values) -> None:
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
-        values = tuple(values)
-        if len(values) != modulus:
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        table = np.array(values)
+        if table.ndim != 1 or len(table) != modulus:
             raise ValueError("values table must have exactly `modulus` entries")
+        if table.dtype.kind in "biu":
+            unit_range = bool(np.all((table >= -1) & (table <= 1)))
+        else:
+            table = table.astype(complex)
+            unit_range = bool(
+                np.all((table.imag == 0) & np.isin(table.real, (-1, 0, 1)))
+            )
+            if unit_range:
+                table = table.real
+        table = table.astype(np.int8 if unit_range else complex)
+        table.setflags(write=False)
         self.modulus = modulus
-        self.values = values
+        self.table = table
+        self.values = tuple(table.tolist())
         if modulus == 1:
             self.parity = 0
         else:
-            v = complex(values[modulus - 1])
+            v = complex(self.values[modulus - 1])
             if abs(v - 1) < _ONE_EPS:
                 self.parity = 0
             elif abs(v + 1) < _ONE_EPS:
                 self.parity = 1
             else:
                 raise ValueError(f"chi(-1) = {v} is not +-1")
-        self.is_real = all(abs(complex(v).imag) < 1e-12 for v in values)
+        self.is_real = unit_range or bool(np.all(np.abs(table.imag) < 1e-12))
         self._conductor: int | None = None
+        self._principal: bool | None = None
 
     def __call__(self, m: int):
         return self.values[m % self.modulus]
@@ -251,33 +358,26 @@ class DirichletCharacter:
         kind = "real" if self.is_real else "complex"
         return f"DirichletCharacter(mod {self.modulus}, {kind})"
 
+    def _off_one(self) -> np.ndarray:
+        """Boolean array over 0..q-1: the units where chi is not 1."""
+        return _unit_mask(self.modulus) & (np.abs(self.table - 1) >= _ONE_EPS)
+
     @property
     def is_principal(self) -> bool:
-        q = self.modulus
-        return all(
-            abs(complex(self.values[a]) - 1) < _ONE_EPS
-            for a in range(q)
-            if gcd(a, q) == 1
-        )
+        if self._principal is None:
+            self._principal = not self._off_one().any()
+        return self._principal
 
     @property
     def conductor(self) -> int:
+        """The least divisor d of q with chi = 1 on the units = 1 mod d."""
         if self._conductor is None:
             q = self.modulus
-            found = q
-            for d in range(1, q + 1):
-                if q % d:
-                    continue
-                if all(
-                    abs(complex(self.values[a]) - 1) < _ONE_EPS
-                    for a in range(1, q)
-                    if gcd(a, q) == 1 and a % d == 1 % d
-                ):
-                    found = d
-                    break
-            if q == 1:
-                found = 1
-            self._conductor = found
+            off = self._off_one()
+            # The residues in 1..q-1 that are 1 mod d form the slice [1::d].
+            self._conductor = next(
+                (d for d in _divisors(q) if not off[1::d].any()), q
+            )
         return self._conductor
 
     @property
@@ -289,33 +389,28 @@ def principal_character(q: int) -> DirichletCharacter:
     """The principal character mod q."""
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    if q == 1:
-        return DirichletCharacter(1, (1,))
-    vals = [1 if gcd(m, q) == 1 else 0 for m in range(q)]
-    return DirichletCharacter(q, vals)
+    return DirichletCharacter(q, _unit_mask(q))
 
 
 def character_from_symbol(top: int, modulus: int) -> DirichletCharacter:
     """Table m -> kronecker(top, m) on residues coprime to the modulus.
 
-    Multiplicative fill over a smallest-prime-factor sieve; entries off
-    the coprime residues are zero.
+    The units are filled at once by reciprocity (`_kronecker_column`);
+    entries off the units are zero.  When the odd part of top exceeds
+    the modulus its Jacobi table would outgrow the character's, and
+    the units are filled by the scalar symbol instead.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if modulus == 1:
         return DirichletCharacter(1, (1,))
-    spf = arith.spf_list(modulus)
-    at_prime: dict[int, int] = {}
-    vals = [0] * modulus
-    vals[1 % modulus] = 1
-    for m in range(2, modulus):
-        p = spf[m]
-        vp = at_prime.get(p)
-        if vp is None:
-            vp = 0 if modulus % p == 0 else arith.kronecker(top, p)
-            at_prime[p] = vp
-        vals[m] = vals[m // p] * vp if vp else 0
+    units = np.flatnonzero(_unit_mask(modulus))
+    vals = np.zeros(modulus, dtype=np.int8)
+    odd_top = abs(top) >> arith.valuation(abs(top), 2) if top else 0
+    if odd_top > modulus:
+        vals[units] = [arith.kronecker(top, m) for m in units.tolist()]
+    else:
+        vals[units] = _kronecker_column(top, units)
     return DirichletCharacter(modulus, vals)
 
 
@@ -331,25 +426,29 @@ def character_eta(n: int) -> DirichletCharacter:
     return character_from_symbol(-n, 4 * n)
 
 
+# chi_4(m) on the units mod 6, over m = 0..11.
+_CHI4_UNITS6 = np.array([0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1], dtype=np.int8)
+
+
 def psi_n_character(n: int) -> DirichletCharacter:
     """The odd real character m -> chi_4(m) (n/m) 1_3(m), mod 12n.
 
     Requires n odd, squarefree, coprime to 3.  The table is always an
     odd character (checked), but it is never primitive: its conductor
     is 4n when n = 1 mod 4 and n when n = 3 mod 4.
+
+    Filled by reciprocity: for odd m, (n/m) = (m/n) chi_4(m) when
+    n = 3 mod 4 and (m/n) when n = 1 mod 4, so the table is
+    `jacobi_table(n)` repeated 12 times, times chi_4 (n = 1 mod 4) or
+    1 (n = 3 mod 4) on the units mod 6, repeated n times.
     """
     if n < 1 or n % 2 == 0 or n % 3 == 0 or not arith.is_squarefree(n):
         raise ValueError(
             f"psi_n requires odd squarefree n coprime to 3, got {n}"
         )
-    q = 12 * n
-    vals = [0] * q
-    for m in range(q):
-        if m % 2 == 0 or m % 3 == 0:
-            continue
-        chi4 = 1 if m % 4 == 1 else -1
-        vals[m] = chi4 * arith.kronecker(n, m)
-    chi = DirichletCharacter(q, vals)
+    window = _CHI4_UNITS6 if n % 4 == 1 else np.abs(_CHI4_UNITS6)
+    vals = np.tile(jacobi_table(n), 12) * np.tile(window, n)
+    chi = DirichletCharacter(12 * n, vals)
     if chi.parity != 1:
         raise AssertionError(f"psi_{n} failed the odd-parity check")
     return chi
@@ -375,7 +474,13 @@ def characters_mod24() -> list[DirichletCharacter]:
     The group is (Z/2)^3 on the generators 5, 7, 13.  Index j in 0..7
     maps bit 0 to the sign at 5, bit 1 to the sign at 7, bit 2 to the
     sign at 13 (set bit = value -1); index 0 is the principal character.
+    The eight tables are built once and shared by every call.
     """
+    return list(_characters_mod24())
+
+
+@functools.cache
+def _characters_mod24() -> tuple[DirichletCharacter, ...]:
     out = []
     for j in range(8):
         signs = (
@@ -387,23 +492,28 @@ def characters_mod24() -> list[DirichletCharacter]:
         for u, (e5, e7, e13) in _EXP_MOD24.items():
             vals[u] = (signs[0] ** e5) * (signs[1] ** e7) * (signs[2] ** e13)
         out.append(DirichletCharacter(24, vals))
-    return out
+    return tuple(out)
 
 
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character inducing chi, tabulated on the conductor."""
+    """The primitive character inducing chi, tabulated on the conductor.
+
+    Each unit a mod f takes chi at its least lift a + kf that is a unit
+    mod q; all units are lifted at once.
+    """
     f = chi.conductor
     q = chi.modulus
     if f == q:
         return chi
-    vals: list = [0] * f
-    for a in range(f):
-        if gcd(a, f) != 1:
-            continue
-        t = a
-        while gcd(t, q) != 1:
-            t += f
-        vals[a] = chi.values[t % q]
+    units = np.flatnonzero(_unit_mask(f))
+    unit_q = _unit_mask(q)
+    lift = units.copy()
+    pending = np.flatnonzero(~unit_q[lift])
+    while len(pending):
+        lift[pending] += f
+        pending = pending[~unit_q[lift[pending]]]
+    vals = np.zeros(f, dtype=chi.table.dtype)
+    vals[units] = chi.table[lift]
     return DirichletCharacter(f, vals)
 
 
@@ -530,11 +640,10 @@ def real_primitive_characters(max_modulus: int) -> list[DirichletCharacter]:
 def twisted_exponential_sum(chi: DirichletCharacter) -> complex:
     """Raw sum over l mod q of chi(l) e^(2 pi i l / q), no primitivity gate."""
     q = chi.modulus
+    values = chi.values
     total = 0j
-    for l in range(q):
-        v = chi.values[l]
-        if v:
-            total += complex(v) * cmath.exp(2j * math.pi * l / q)
+    for l in np.flatnonzero(chi.table).tolist():
+        total += complex(values[l]) * cmath.exp(2j * math.pi * l / q)
     return total
 
 
@@ -580,9 +689,13 @@ def dirichlet_L(chi: DirichletCharacter, s: complex) -> LSeriesValue:
     principal = chi.is_principal
     if principal and abs(s - 1) < _POLE_EPS:
         raise PoleError("L(s, principal chi) has its pole at s = 1")
-    residues = [a for a in range(1, q + 1) if chi.values[a % q]]
-    weights = np.array([complex(chi.values[a % q]) for a in residues])
-    xs = np.array([a / q for a in residues])
+    table = chi.table
+    # a runs over 1..q, so residue 0 comes last, as a = q.
+    residues = np.flatnonzero(table[1:]) + 1
+    if table[0]:
+        residues = np.append(residues, q)
+    weights = table[residues % q].astype(complex)
+    xs = residues / q
     hur, point_err = _hurwitz_block(s, xs, deflate=not principal)
     scale = _px(q, s) if q > 1 else 1.0
     value = complex(scale * np.sum(weights * hur))
@@ -604,9 +717,7 @@ def dirichlet_L_direct(
     s = complex(s)
     q = chi.modulus
     sigma = s.real
-    vals = np.asarray(
-        [complex(v) for v in chi.values], dtype=complex
-    )[np.arange(1, terms + 1) % q]
+    vals = chi.table.astype(complex)[np.arange(1, terms + 1) % q]
     m = np.arange(1, terms + 1, dtype=float)
     total = complex(np.sum(vals * np.power(m, -s)))
     if chi.is_principal:
@@ -680,8 +791,7 @@ def L_squarefree_restricted_table(
         raise ValueError("b and N must be >= 1")
     w = complex(w)
     dk, dw = _squarefree_powers(N, w)
-    psi_table = np.asarray([complex(v) for v in psi.values], dtype=complex)
-    weighted = psi_table[dk % psi.modulus] * dw
+    weighted = psi.table.astype(complex)[dk % psi.modulus] * dw
     return np.array(
         [
             np.sum(weighted.take(_coprime_index(N, b))) if b > 1

@@ -20,7 +20,7 @@ import numpy as np
 from . import arith, forms, sqcount
 from .arith import _finite, _px
 from .errors import PoleError
-from .euler import local_factor_closed
+from .euler import _local_factor, local_factor_closed
 from .lfunc import (
     DirichletCharacter,
     A_j,
@@ -30,6 +30,7 @@ from .lfunc import (
     completed_Lambda,
     characters_mod24,
     dirichlet_L,
+    jacobi_table,
     primitive_part,
     psi_n_character,
     riemann_zeta,
@@ -222,10 +223,17 @@ def Z_n_oracle(n: int, s: complex, m_cutoff: int) -> complex:
 
 
 def Z_n_euler_product(n: int, s: complex, prime_cutoff: int) -> complex:
-    """Product of the closed local factors over primes up to the cutoff."""
+    """Product of the closed local factors over primes up to the cutoff.
+
+    The first factor checks n and s as `local_factor_closed` does; the
+    rest skip its primality proof, since the sieve made their p.
+    """
+    primes = arith.primes_up_to(prime_cutoff)
     out = 1 + 0j
-    for p in arith.primes_up_to(prime_cutoff):
-        out *= local_factor_closed(p, n, s)
+    if primes:
+        out *= local_factor_closed(primes[0], n, s)
+    for p in primes[1:]:
+        out *= _local_factor(p, n, s)
     return out
 
 
@@ -311,7 +319,7 @@ def residue_identity_check(
         if m % 2 == 0 or m % 3 == 0:
             continue
         # (k/m) depends only on k mod m, so one table per m suffices.
-        table = np.asarray([arith.kronecker(r, m) for r in range(m)], dtype=float)
+        table = jacobi_table(m).astype(float)
         jac = table[ks % m]
         twist = chi_vec * jac
         l_inner = complex(twist[1:] @ kinv)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cubic_mds import cli, verify
+from cubic_mds import cli, lfunc, sqcount, verify
 
 # ======================================================================
 # parsing helpers
@@ -17,6 +17,12 @@ def test_parse_complex():
     assert cli.parse_complex("-0.5,3.25") == -0.5 + 3.25j
     for bad in ["", "a", "1,2,3", "1;2", "nan", "inf", "1,nan"]:
         with pytest.raises(ValueError):
+            cli.parse_complex(bad)
+    # |Im s| <= 50 is the documented envelope; its edges are inside.
+    assert cli.parse_complex("0.5,50") == 0.5 + 50j
+    assert cli.parse_complex("0.5,-50") == 0.5 - 50j
+    for bad in ["0.5,50.001", "2,-51", "0.5,5000"]:
+        with pytest.raises(ValueError, match=r"\|Im s\| <= 50"):
             cli.parse_complex(bad)
 
 
@@ -189,6 +195,30 @@ def test_exit_code_on_malformed_input(capsys):
     assert cli.main(["verify", "11"]) == 2
     assert cli.main(["count", "45"]) == 2  # argparse usage error
     capsys.readouterr()
+
+
+def test_imaginary_part_beyond_envelope_exits_2(capsys, monkeypatch):
+    # Refused with one line before any table or sieve is built: the
+    # Hurwitz arrays grow with |Im s|, and eta:-25000 at Im s = 5000
+    # would ask for gigabytes.
+    def no_table(*args):
+        raise AssertionError("table built before |Im s| was checked")
+
+    monkeypatch.setattr(cli, "character_eta", no_table)
+    monkeypatch.setattr(cli, "psi_n_character", no_table)
+    monkeypatch.setattr(cli, "Z_n_closed", no_table)
+    monkeypatch.setattr(lfunc, "character_eta", no_table)
+    monkeypatch.setattr(sqcount, "coefficient_sieve", no_table)
+    for argv in (
+        ["lfun", "--char", "eta:-25000", "--s", "0.5,5000"],
+        ["lfun", "--char", "psi:8333", "--s", "0.5,-51"],
+        ["zn", "5", "--s", "2,51"],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "|Im s| <= 50" in captured.err
 
 
 def test_exit_code_on_verification_failure(capsys, monkeypatch):

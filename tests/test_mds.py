@@ -6,7 +6,7 @@ import math
 import mpmath
 import pytest
 
-from cubic_mds import mds, sqcount
+from cubic_mds import arith, euler, mds, sqcount
 from cubic_mds.errors import PoleError
 from cubic_mds.lfunc import characters_mod24, principal_character
 
@@ -107,6 +107,30 @@ def test_zn_euler_product_converges_to_oracle():
         prod = mds.Z_n_euler_product(n, 2.5, 20000)
         direct = mds.Z_n_oracle(n, 2.5, 200000)
         assert abs(prod - direct) <= 1e-6 * max(1.0, abs(direct)), n
+
+
+def test_zn_euler_product_proves_no_sieved_prime(monkeypatch):
+    # The product equals the checked local factors multiplied in order,
+    # bit for bit, but proves at most one prime: the others come from
+    # the sieve.
+    for n, s in [(5, 2.5), (7, 2.5), (45, 2.2 + 3j), (1, 3.0)]:
+        want = 1 + 0j
+        for p in arith.primes_up_to(3000):
+            want *= euler.local_factor_closed(p, n, s)
+        proofs = []
+        real_proof = arith.is_probable_prime
+        monkeypatch.setattr(
+            arith, "is_probable_prime", lambda p: proofs.append(p) or real_proof(p)
+        )
+        assert mds.Z_n_euler_product(n, s, 3000) == want, n
+        monkeypatch.undo()
+        assert len(proofs) <= 1
+    # n and s are still checked, once; no prime leaves nothing to check.
+    with pytest.raises(ValueError):
+        mds.Z_n_euler_product(0, 2.5, 100)
+    with pytest.raises(ValueError, match="finite"):
+        mds.Z_n_euler_product(5, float("nan"), 100)
+    assert mds.Z_n_euler_product(5, 2.5, 1) == 1
 
 
 # ======================================================================
