@@ -16,6 +16,26 @@ L-values), with every closed form checked against an independent
 brute-force or truncated-series route.
 """
 
+import os
+import sys
+
+
+def _launched_as_cli() -> bool:
+    """True in a `cubic-mds` process, run as the script or with -m."""
+    argv = getattr(sys, "orig_argv", [])
+    if "-m" in argv[:-1]:
+        return argv[argv.index("-m") + 1] == "cubic_mds.cli"
+    return os.path.basename(sys.argv[0]) == "cubic-mds"
+
+
+# A threaded BLAS splits the long dot products (`Z_n_oracle`) by its
+# thread count, which moves the last digits the CLI prints, and its
+# idle workers spin on the other cores.  So the command pins BLAS and
+# OpenMP to one thread; this has to happen before numpy is loaded.
+if _launched_as_cli():
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
 from .arith import (
     PrimeFactorization,
     SquarefreeSplit,

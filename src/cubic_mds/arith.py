@@ -221,6 +221,41 @@ def kronecker(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
+# Below 2^31 a residue squared fits in int64, so Euler's criterion is exact.
+_EULER_CRITERION_LIMIT = 2**31
+
+
+def legendre_column(a: int, primes: np.ndarray) -> np.ndarray:
+    """kronecker(a, p) for each prime p of `primes`, as an int64 array.
+
+    For odd p this is Euler's criterion, a^((p-1)/2) mod p, taken for
+    every prime at once by square-and-multiply in int64; at p = 2 it is
+    the mod-8 rule of `kronecker`.  Primes from 2^31 up go to the scalar
+    `kronecker`.  It uses neither `lfunc.jacobi_table` nor a character
+    table, so a route built on it stays apart from the closed forms.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    out = np.zeros(primes.shape, dtype=np.int64)
+    small = (primes > 2) & (primes < _EULER_CRITERION_LIMIT)
+    p = primes[small]
+    base = a % p if -(2**62) < a < 2**62 else np.array(
+        [a % q for q in p.tolist()], dtype=np.int64
+    )
+    power = np.ones_like(p)
+    exp = (p - 1) >> 1
+    while exp.any():
+        odd = (exp & 1).astype(bool)
+        power[odd] = power[odd] * base[odd] % p[odd]
+        base = base * base % p
+        exp >>= 1
+    out[small] = np.where(power == p - 1, -1, power)
+    if a % 2:
+        out[primes == 2] = 1 if a % 8 in (1, 7) else -1
+    for i in np.flatnonzero(primes >= _EULER_CRITERION_LIMIT).tolist():
+        out[i] = kronecker(a, int(primes[i]))
+    return out
+
+
 # ======================================================================
 # squarefree structure
 # ======================================================================
@@ -321,16 +356,28 @@ def spf_list(limit: int) -> list[int]:
     return _SPF_LIST
 
 
+_PRIMES = np.zeros(0, dtype=np.int64)
+_PRIMES_LIMIT = 1
+_PRIMES.setflags(write=False)
+
+
 def _prime_array(limit: int) -> np.ndarray:
-    """Ascending primes p <= limit as an int64 array (Eratosthenes)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    """Ascending primes p <= limit as a read-only int64 array.
+
+    A view of one shared Eratosthenes sieve, which is rebuilt only when
+    a larger limit is asked for.
+    """
+    global _PRIMES, _PRIMES_LIMIT
+    if limit > _PRIMES_LIMIT:
+        mask = np.ones(limit + 1, dtype=bool)
+        mask[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if mask[p]:
+                mask[p * p :: p] = False
+        _PRIMES = np.flatnonzero(mask).astype(np.int64)
+        _PRIMES.setflags(write=False)
+        _PRIMES_LIMIT = limit
+    return _PRIMES[: int(np.searchsorted(_PRIMES, limit, side="right"))]
 
 
 def primes_up_to(limit: int) -> list[int]:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from . import arith, sqcount
-from .arith import _finite, _guard, _px
+from .arith import _POLE_EPS, _finite, _guard, _px
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,16 @@ def local_factor_oracle(inp: LocalFactorInput) -> complex:
 
 def unit_factor_generic(p: int, u: int, s: complex) -> complex:
     """Z_{u,p}(s) for odd p >= 5 not dividing u:  (1+x)/(1 - (-u/p) x)."""
-    x = _px(p, s)
-    eps = arith.kronecker(-u, p)
-    return (1 + x) / _guard(1 - eps * x, f"1 - (-u/p) p^-s at p={p}")
+    return _unit_factor(p, _px(p, s), arith.kronecker(-u, p))
+
+
+def _unit_factor(p: int, x: complex, eps: int) -> complex:
+    """(1 + x) / (1 - eps x) with x = p^-s and eps = (-u/p); the pole
+    message is formatted only when there is a pole."""
+    den = 1 - eps * x
+    if abs(den) < _POLE_EPS:
+        _guard(den, f"1 - (-u/p) p^-s at p={p}")
+    return (1 + x) / den
 
 
 def unit_factor_two(u: int, s: complex) -> complex:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -140,16 +141,58 @@ def _expm1_over(u: np.ndarray) -> np.ndarray:
     return out
 
 
+# A block holds _em_shift(s) rows, about 1.6 |Im s|, of one column per
+# point, and its temporaries take some 32 bytes an entry.  Past 2^24
+# entries it is refused before anything is allocated.  The CLI's largest
+# block, `lfun` on 40,000 residues at |Im s| = 50, has 3.6 million; a
+# bound on |Im s| alone would refuse the one-point zeta(ke) far up the
+# line that the prime-zeta tail of `mds.residue_product` evaluates.
+_MAX_BLOCK = 2**24
+
+# Criterion 8 asks for the same block (same s, points and deflation)
+# once per character mod q, since the characters share their units.
+# The last few small blocks are kept; the memo stays too small to carry
+# one verification pass into the next.
+_MEMO_MAX_POINTS = 1024
+
+
 def _hurwitz_block(
     s: complex, xs: np.ndarray, deflate: bool
 ) -> tuple[np.ndarray, float]:
     """Euler-Maclaurin Hurwitz values for an array of x in (0, 1].
 
     With deflate=True returns zeta(s, x) - 1/(s-1), finite at s = 1.
-    Second result is a per-point error estimate.
+    Second result is a per-point error estimate.  The values are a
+    read-only array.  ValueError when s is not finite, or when |Im s|
+    makes the block larger than 2^24 entries.
     """
     s = _finite(complex(s))
     xs = np.asarray(xs, dtype=float)
+    rows = _em_shift(s)
+    if rows * xs.size > _MAX_BLOCK:
+        raise ValueError(
+            f"|Im s| = {abs(s.imag):g} needs {rows} Hurwitz rows for"
+            f" {xs.size} points, past the limit of {_MAX_BLOCK} entries"
+        )
+    if xs.size > _MEMO_MAX_POINTS:
+        return _hurwitz_sum(s, xs, deflate)
+    # The bytes of s tell +0.0 from -0.0, which complex equality does not.
+    return _hurwitz_memo(struct.pack("2d", s.real, s.imag), xs.tobytes(), deflate)
+
+
+@functools.lru_cache(maxsize=8)
+def _hurwitz_memo(
+    s_bytes: bytes, xs_bytes: bytes, deflate: bool
+) -> tuple[np.ndarray, float]:
+    """`_hurwitz_sum` keyed by the bytes of s and of the points."""
+    s = complex(*struct.unpack("2d", s_bytes))
+    return _hurwitz_sum(s, np.frombuffer(xs_bytes), deflate)
+
+
+def _hurwitz_sum(
+    s: complex, xs: np.ndarray, deflate: bool
+) -> tuple[np.ndarray, float]:
+    """The work of `_hurwitz_block`, once s is finite and the block fits."""
     if np.any(xs <= 0) or np.any(xs > 1):
         raise ValueError("hurwitz_zeta requires x in (0, 1]")
     if not deflate and abs(s - 1) < _POLE_EPS:
@@ -186,6 +229,7 @@ def _hurwitz_block(
     amp = abs(s) * max(math.log(shift + 1.0), -math.log(float(xs.min())))
     rounding = 2.5e-16 * (1.0 + amp) * (mass + shift)
     err = 2.0 * last + rounding
+    total.setflags(write=False)
     return total, err
 
 
@@ -198,7 +242,8 @@ def hurwitz_zeta(s: complex, x: float) -> complex:
     (x^{-Re s} or the near-pole 1/(s-1)) and the floor is a few ulp of
     the largest intermediate magnitude, phase-amplified; the internal
     estimate tracks it and the tests check both against a
-    multiprecision reference.  PoleError at s = 1.
+    multiprecision reference.  PoleError at s = 1; ValueError past
+    |Im s| of about 1e7, where the kernel's array limit stops it.
     """
     values, _ = _hurwitz_block(s, np.array([float(x)]), deflate=False)
     return complex(values[0])
@@ -682,7 +727,8 @@ def dirichlet_L(chi: DirichletCharacter, s: complex) -> LSeriesValue:
     For non-principal chi the per-term Hurwitz pole at s = 1 is removed
     before summing (the removed poles cancel against Sum chi(a) = 0), so
     the value is finite and correct at s = 1 as well.  Principal chi at
-    s = 1 raises PoleError.
+    s = 1 raises PoleError.  ValueError when the Hurwitz block, about
+    1.6 |Im s| rows by one column per residue, would pass 2^24 entries.
     """
     s = complex(s)
     q = chi.modulus

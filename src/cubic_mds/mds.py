@@ -11,6 +11,7 @@ given call is reproducible bit for bit.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from . import arith, forms, sqcount
 from .arith import _finite, _px
 from .errors import PoleError
-from .euler import _local_factor, local_factor_closed
+from .euler import _local_factor, _unit_factor, local_factor_closed
 from .lfunc import (
     DirichletCharacter,
     A_j,
@@ -215,25 +216,53 @@ def Z_n_oracle(n: int, s: complex, m_cutoff: int) -> complex:
 
     Brute reference for the closed form and the local-factor product;
     meaningful for Re(s) > 1.  ValueError when s is not finite.
+
+    m^(-s) is formed only where the coefficient is nonzero (about a
+    quarter of the m on a slice that does not vanish, none when n = 1
+    mod 3); the other entries stay 0.  The dot product still runs over
+    all M entries, so its summation order is the one a full vector of
+    powers would give, and a zero coefficient adds only a signed zero:
+    the value is the same, bit for bit.
     """
     _finite(s)
     coeffs = np.asarray(sqcount.coefficient_sieve(n, m_cutoff)[1:], dtype=float)
-    powers = _inverse_powers(m_cutoff, s)
+    nz = np.flatnonzero(coeffs)
+    powers = np.zeros(m_cutoff, dtype=complex)
+    powers[nz] = np.exp(-complex(s) * np.log(nz + 1.0))
     return complex(coeffs @ powers)
+
+
+@functools.lru_cache(maxsize=2)
+def _prime_logs(prime_cutoff: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The primes up to the cutoff, and math.log of each."""
+    primes = tuple(arith.primes_up_to(prime_cutoff))
+    return primes, tuple(math.log(p) for p in primes)
 
 
 def Z_n_euler_product(n: int, s: complex, prime_cutoff: int) -> complex:
     """Product of the closed local factors over primes up to the cutoff.
 
     The first factor checks n and s as `local_factor_closed` does; the
-    rest skip its primality proof, since the sieve made their p.
+    rest skip its primality proof, since the sieve made their p.  The
+    primes 2, 3 and those dividing n take `_local_factor`.  Every other
+    p takes the unramified factor (1 + x) / (1 - (-n/p) x), x = p^(-s),
+    through the same `_unit_factor` as `unit_factor_generic`, with
+    log p cached per cutoff, so the product is the same bit for bit.
+    Its symbols (-n/p) come from `arith.legendre_column`, Euler's
+    criterion for all primes at once: never from `lfunc.jacobi_table`
+    or a character table, on which the closed form is built.
     """
-    primes = arith.primes_up_to(prime_cutoff)
+    primes, logs = _prime_logs(prime_cutoff)
     out = 1 + 0j
-    if primes:
-        out *= local_factor_closed(primes[0], n, s)
-    for p in primes[1:]:
-        out *= _local_factor(p, n, s)
+    if not primes:
+        return out
+    out *= local_factor_closed(primes[0], n, s)
+    eps = arith.legendre_column(-n, arith._prime_array(prime_cutoff)).tolist()
+    for p, logp, e in zip(primes[1:], logs[1:], eps[1:]):
+        if e == 0 or p == 3:
+            out *= _local_factor(p, n, s)
+        else:
+            out *= _unit_factor(p, cmath.exp(-s * logp), e)
     return out
 
 

@@ -140,9 +140,16 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
     residue class that holds a prime <= m_cutoff.  An inert prime zeroes
     its multiples; a split prime adds 1 to an int8 counter at each
     multiple, and h <<= counter applies them all.  A prime p dividing 2n,
-    other than 3, multiplies h by C(p^e, -n) at exponent e = v_p(m).  The
-    3-part is left out of h and applied last, at exponent v_3(m) + 1, the
-    3-exponent of 3m.
+    other than 3, gives h its factor C(p^e, -n) at e = v_p(m) by one
+    strided in-place multiply per exponent level: the multiples of p^e
+    are multiplied by C(p^e, -n) / C(p^(e-1), -n), an integer.  The
+    3-part is left out of h and applied last in the same way, at exponent
+    v_3(m) + 1, the 3-exponent of 3m.
+
+    Kernel rule: every symbol here comes from the scalar `arith.kronecker`
+    inside count_roots_prime_power, never from `arith.legendre_column`
+    (the Euler product's) or `lfunc.jacobi_table` (the closed form's), so
+    the oracle built on this sieve stays a separate computation.
     """
     if n < 1 or m_cutoff < 1:
         raise ValueError(
@@ -163,15 +170,24 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
 
     for p in primes[special & (primes != 3)].tolist() + [3]:
         shift = 1 if p == 3 else 0
-        v = np.zeros(m_cutoff + 1, dtype=np.int8)
+        last = count_roots_prime_power(p, shift, -n)
+        if last != 1:
+            h *= last
         q = p
-        top = 0
-        while q <= m_cutoff:
-            v[q::q] += 1
+        e = 1
+        # Level e multiplies the multiples of p^e by the step from the
+        # count at exponent e - 1 to the count at e; the steps telescope
+        # to C(p^(v+shift), -n) at v = v_p(m).  Each step is an integer:
+        # a nonzero count is p^(k/2) times 1, 2 or 4, and it grows by a
+        # factor 1, 2, 1 + (-n0/p) or p per level until it drops to 0,
+        # where it stays.
+        while q <= m_cutoff and last:
+            count = count_roots_prime_power(p, e + shift, -n)
+            if count != last:
+                h[q::q] *= count // last
+            last = count
             q *= p
-            top += 1
-        local = [count_roots_prime_power(p, e + shift, -n) for e in range(top + 1)]
-        h *= np.array(local, dtype=np.int64)[v]
+            e += 1
     h[0] = 0
     return h
 

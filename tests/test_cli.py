@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, determinism, output schema."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubic_mds
 from cubic_mds import cli, lfunc, sqcount, verify
 
 # ======================================================================
@@ -145,6 +150,39 @@ def test_table_zn_deterministic_across_jobs(capsys, monkeypatch):
     assert first.splitlines()[0] == (
         "n,closed_re,closed_im,oracle_re,oracle_im,rel_err"
     )
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_stdout_does_not_depend_on_blas_threads(tmp_path):
+    # A threaded BLAS would split the 1e5-term oracle dot product by its
+    # thread count and move the last printed digits; the command pins
+    # one thread, whether it runs as `cubic-mds` or with -m.
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(cubic_mds.__file__).resolve().parent.parent)
+    script = tmp_path / "cubic-mds"
+    script.write_text("import sys\nfrom cubic_mds.cli import main\nsys.exit(main())\n")
+    args = ["zn", "5", "--s", "2.5,1.3"]
+    runs = [
+        ([sys.executable, "-m", "cubic_mds.cli"], None),
+        ([sys.executable, "-m", "cubic_mds.cli"], "1"),
+        ([sys.executable, "-m", "cubic_mds.cli"], "4"),
+        ([sys.executable, str(script)], None),
+    ]
+    outs = []
+    for command, threads in runs:
+        run_env = dict(env)
+        if threads is not None:
+            run_env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run(
+            command + args, env=run_env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0].startswith("closed  = ")
+    assert outs.count(outs[0]) == len(outs)
 
 
 def test_table_coeffs(capsys):

@@ -112,6 +112,62 @@ def test_riemann_zeta_against_mpmath():
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), s
 
 
+def test_hurwitz_refuses_large_blocks_before_allocating(monkeypatch):
+    # (-25000/.) has 40,000 residues; at Im s = 5000 its block would have
+    # 8,010 rows of them, gigabytes of temporaries.
+    chi = character_eta(25000)
+
+    def no_block(*args):
+        raise AssertionError("Hurwitz block computed before the size check")
+
+    monkeypatch.setattr(lfunc, "_hurwitz_sum", no_block)
+    for s in (0.5 + 5000j, 0.5 - 500j):
+        with pytest.raises(ValueError, match=r"\|Im s\| = \d+ needs"):
+            dirichlet_L(chi, s)
+    with pytest.raises(ValueError, match=r"\|Im s\|"):
+        hurwitz_zeta(2.0 + 1.1e7j, 0.5)
+    # The CLI's largest block, this character at |Im s| = 50, passes.
+    monkeypatch.setattr(lfunc, "_hurwitz_sum", lambda s, xs, d: (xs * 0j, 0.0))
+    assert dirichlet_L(chi, 0.5 + 50j).value == 0
+    monkeypatch.undo()
+    # One point far up the line is a small block: zeta(2s) for s at the
+    # edge of the envelope, and the prime-zeta tail of the residue product
+    # at a complex s1, which asks for zeta(k e) up to |Im| = 160 here.
+    for s in (5 + 100j, 10 + 160j):
+        want = complex(mpmath.zeta(mpmath.mpc(s)))
+        assert abs(riemann_zeta(s) - want) <= 1e-12, s
+    assert cmath.isfinite(Z_n_closed(5, 2.5 + 50j))
+
+
+def test_hurwitz_memo_is_small_read_only_and_exact():
+    # Every character mod 15 shares one set of units, so criterion 8's
+    # pattern asks for the same block again and again.
+    w = 2.5
+    chars = all_characters_mod(15)
+    lfunc._hurwitz_memo.cache_clear()
+    memoised = [repr(dirichlet_L(chi, w).value) for chi in chars]
+    # One block for the principal character, one for all the others.
+    assert lfunc._hurwitz_memo.cache_info().misses == 2
+    fresh = []
+    for chi in chars:
+        lfunc._hurwitz_memo.cache_clear()
+        fresh.append(repr(dirichlet_L(chi, w).value))
+    assert fresh == memoised
+    # The kept values are read-only, and +0.0 and -0.0 in Im s are
+    # different keys.
+    xs = np.array([0.25, 0.5, 1.0])
+    a, _ = lfunc._hurwitz_block(complex(2.5, 0.0), xs, deflate=False)
+    b, _ = lfunc._hurwitz_block(complex(2.5, -0.0), xs, deflate=False)
+    assert not a.flags.writeable
+    assert a is not b
+    assert lfunc._hurwitz_block(complex(2.5, 0.0), xs, deflate=False)[0] is a
+    # A block past the point limit is not kept.
+    lfunc._hurwitz_memo.cache_clear()
+    many = np.linspace(0.001, 1.0, lfunc._MEMO_MAX_POINTS + 1)
+    lfunc._hurwitz_block(2.5, many, deflate=True)
+    assert lfunc._hurwitz_memo.cache_info().currsize == 0
+
+
 # ======================================================================
 # characters
 # ======================================================================

@@ -151,6 +151,20 @@ if given is not None:
         want = [0] + [sqcount.coefficient(m, n) for m in range(1, m_cutoff + 1)]
         assert sieved.tolist() == want
 
+    @given(
+        m1=st.integers(1, 200),
+        m2=st.integers(1, 200),
+        n=st.integers(-(10**6), 10**6),
+    )
+    def test_count_multiplicative_in_m_property(m1, m2, n):
+        # CRT: for coprime moduli the square roots mod m1*m2 pair off with
+        # those mod m1 and mod m2, counted exhaustively on every side.
+        while math.gcd(m1, m2) > 1:
+            m2 //= math.gcd(m1, m2)
+        brute = sqcount.count_roots_bruteforce
+        assert brute(m1 * m2, n) == brute(m1, n) * brute(m2, n)
+        assert sqcount.count_roots(m1 * m2, n) == brute(m1 * m2, n)
+
 
 def test_coefficient_sieve_n_past_int64():
     # 2n and 4n no longer fit int64 here; residues are then taken in Python.
