@@ -36,19 +36,11 @@ if _launched_as_cli():
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
-from .arith import (
-    PrimeFactorization,
-    SquarefreeSplit,
-    factorize,
-    is_squarefree,
-    kronecker,
-    squarefree_split,
-)
+from .arith import PrimeFactorization, factorize, is_squarefree, kronecker
 from .errors import OracleScaleError, PoleError
-from .euler import LocalFactorInput, local_factor_closed, local_factor_oracle
+from .euler import local_factor_closed, local_factor_oracle
 from .forms import (
     BinaryCubicForm,
-    count_forms,
     enumerate_representatives,
     invariants,
     is_positive_definite,
@@ -97,18 +89,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PrimeFactorization",
-    "SquarefreeSplit",
     "factorize",
     "is_squarefree",
     "kronecker",
-    "squarefree_split",
     "OracleScaleError",
     "PoleError",
-    "LocalFactorInput",
     "local_factor_closed",
     "local_factor_oracle",
     "BinaryCubicForm",
-    "count_forms",
     "enumerate_representatives",
     "invariants",
     "is_positive_definite",

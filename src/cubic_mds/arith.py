@@ -8,9 +8,7 @@ tools collected here:
   Brent's cycle variant of Pollard rho behind a Miller-Rabin test),
 * the fully extended Kronecker symbol (a/b), defined for every pair of
   integers except (0, 0),
-* squarefree detection and the decomposition n = 2^c * k * N^2 * M^2
-  with k odd squarefree, N supported on the primes of k, M coprime to
-  2k,
+* squarefree detection,
 * shared sieves (primes, smallest prime factor, squarefree mask) that
   the series code leans on for multiplicative fills.
 
@@ -269,91 +267,28 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n).factors)
 
 
-@dataclass(frozen=True)
-class SquarefreeSplit:
-    """n = 2^two_exponent * kernel * ramified_square^2 * unramified_square^2.
-
-    kernel is odd and squarefree; every prime of ramified_square divides
-    kernel; unramified_square is odd and coprime to kernel.
-    """
-
-    n: int
-    two_exponent: int
-    kernel: int
-    ramified_square: int
-    unramified_square: int
-
-    def reconstruct(self) -> int:
-        return (
-            2**self.two_exponent
-            * self.kernel
-            * self.ramified_square**2
-            * self.unramified_square**2
-        )
-
-
-def squarefree_split(n: int) -> SquarefreeSplit:
-    """Canonical 2^c * k * N^2 * M^2 decomposition of n >= 1."""
-    if n < 1:
-        raise ValueError(f"squarefree_split requires n >= 1, got {n}")
-    c = 0
-    m = n
-    while m % 2 == 0:
-        m //= 2
-        c += 1
-    kernel = 1
-    ram = 1
-    unram = 1
-    for p, e in factorize(m).factors:
-        if e % 2 == 1:
-            kernel *= p
-            ram *= p ** ((e - 1) // 2)
-        else:
-            unram *= p ** (e // 2)
-    return SquarefreeSplit(
-        n=n,
-        two_exponent=c,
-        kernel=kernel,
-        ramified_square=ram,
-        unramified_square=unram,
-    )
-
-
 # ======================================================================
 # shared sieves
 # ======================================================================
 
-_SPF_ARRAY = np.zeros(0, dtype=np.int64)
-_SPF_LIST: list[int] = []
-
-
-def _build_spf(limit: int) -> np.ndarray:
-    spf = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            block = spf[p * p :: p]
-            np.minimum(block, p, out=block)
-    return spf
-
-
-def spf_array(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table as int64 array (index 0..limit).
-
-    spf[1] = 1 and spf[p] = p for primes; treat the result as
-    read-only -- it is a shared cache.
-    """
-    global _SPF_ARRAY
-    if len(_SPF_ARRAY) <= limit:
-        _SPF_ARRAY = _build_spf(limit)
-    return _SPF_ARRAY
+_SPF: list[int] = []
 
 
 def spf_list(limit: int) -> list[int]:
-    """Same table as a plain list, faster for tight Python loops."""
-    global _SPF_LIST
-    if len(_SPF_LIST) <= limit:
-        _SPF_LIST = spf_array(limit).tolist()
-    return _SPF_LIST
+    """Smallest-prime-factor table as a list (index 0..limit).
+
+    spf[1] = 1 and spf[p] = p for primes.  The table is a shared cache
+    that only grows; treat the result as read-only.
+    """
+    global _SPF
+    if len(_SPF) <= limit:
+        spf = np.arange(limit + 1, dtype=np.int64)
+        for p in range(2, math.isqrt(limit) + 1):
+            if spf[p] == p:
+                block = spf[p * p :: p]
+                np.minimum(block, p, out=block)
+        _SPF = spf.tolist()
+    return _SPF
 
 
 _PRIMES = np.zeros(0, dtype=np.int64)

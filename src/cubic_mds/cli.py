@@ -17,7 +17,7 @@ from multiprocessing import Pool
 
 from . import arith, forms, mds, sqcount, verify
 from .errors import OracleScaleError, PoleError
-from .euler import LocalFactorInput, local_factor_closed, local_factor_oracle
+from .euler import local_factor_closed, local_factor_oracle
 from .lfunc import (
     DirichletCharacter,
     Z_n_closed,
@@ -169,7 +169,7 @@ def _cmd_count(args) -> int:
         lines.append(f"C({m}, {n}) = {brute} (exhaustive)")
         results.append({"name": "exhaustive", "value": brute})
         spec = mds.TruncationSpec(
-            m_cutoff=m, n_cutoff=max(abs(n), 1), local_order=1, tolerance=1e-15
+            m_cutoff=m, n_cutoff=max(abs(n), 1), tolerance=1e-15
         )
         comparisons.append(
             mds.SeriesComparison.compare(complex(fast), complex(brute), spec)
@@ -188,10 +188,8 @@ def _cmd_forms(args) -> int:
 def _cmd_euler(args) -> int:
     s = parse_complex(args.s)
     closed = local_factor_closed(args.p, args.n, s)
-    oracle = local_factor_oracle(LocalFactorInput(p=args.p, n=args.n, s=s, K=args.k))
-    spec = mds.TruncationSpec(
-        m_cutoff=1, n_cutoff=args.n, local_order=args.k, tolerance=args.tol
-    )
+    oracle = local_factor_oracle(args.p, args.n, s, args.k)
+    spec = mds.TruncationSpec(m_cutoff=1, n_cutoff=args.n, tolerance=args.tol)
     cmp0 = mds.SeriesComparison.compare(closed, oracle, spec)
     lines = [
         f"closed  = {_cx(closed)}",

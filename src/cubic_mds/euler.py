@@ -24,23 +24,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from . import arith, sqcount
 from .arith import _POLE_EPS, _finite, _guard, _px
-
-
-@dataclass(frozen=True)
-class LocalFactorInput:
-    """One local evaluation request: prime p, slice index n, point s.
-
-    K is the truncation order of the oracle sum.
-    """
-
-    p: int
-    n: int
-    s: complex
-    K: int = 60
 
 
 def _check_domain(p: int, n: int) -> None:
@@ -54,14 +40,15 @@ def _check_domain(p: int, n: int) -> None:
 # oracle: truncated defining sum
 # ======================================================================
 
-def local_factor_oracle(inp: LocalFactorInput) -> complex:
-    """Truncated defining sum, K+1 terms.
+def local_factor_oracle(p: int, n: int, s: complex, K: int = 60) -> complex:
+    """Truncated defining sum at prime p, slice index n, point s: K+1 terms.
 
     Converges for Re(s) > 1/2; the tail after K terms is geometric of
-    ratio p^(1/2 - Re s).
+    ratio p^(1/2 - Re s).  ValueError when K < 1.
     """
-    _check_domain(inp.p, inp.n)
-    p, n, s, K = inp.p, inp.n, inp.s, inp.K
+    _check_domain(p, n)
+    if K < 1:
+        raise ValueError(f"truncation order must satisfy K >= 1, got {K}")
     logp = math.log(p)
     total = 0.0 + 0.0j
     for k in range(K + 1):

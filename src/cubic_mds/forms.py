@@ -4,17 +4,18 @@ A form f = (a, b, c, d) stands for a x^3 + b x^2 y + c x y^2 + d y^3.
 The translation action (x, y) -> (x + k y, y) fixes a and the quartic
 invariant; each orbit of positive-definite forms contains exactly one
 representative with 0 <= b < 3a.  Sections of the orbit space by the
-invariant pair (a, 3ac - b^2) are what the double series sums over,
-and `count_forms` ties the geometry back to the square-root counter:
+invariant pair (a, 3ac - b^2) are what the double series sums over:
 the number of reduced (a, b, c, *) with 3ac - b^2 = n equals
-C(3a, -n).
+C(3a, -n), the coefficient `sqcount.coefficient(a, n)`, which ties the
+geometry back to the square-root counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
+
+from . import arith
 
 
 @dataclass(frozen=True)
@@ -91,55 +92,6 @@ def reduce(f: BinaryCubicForm) -> BinaryCubicForm:
     return gamma_shift(f, k)
 
 
-def discriminant_resultant(f: BinaryCubicForm) -> int:
-    """r4 recomputed as -Res(f, f')/a via an exact Sylvester determinant.
-
-    Independent route used to cross-check the polynomial expression in
-    `invariants`.
-    """
-    a, b, c, d = f.coefficients()
-    if a == 0:
-        raise ValueError("resultant route requires a != 0")
-    rows = [
-        [a, b, c, d, 0],
-        [0, a, b, c, d],
-        [3 * a, 2 * b, c, 0, 0],
-        [0, 3 * a, 2 * b, c, 0],
-        [0, 0, 3 * a, 2 * b, c],
-    ]
-    res = _det_fraction_free(rows)
-    quotient, remainder = divmod(-res, a)
-    if remainder != 0:
-        raise ArithmeticError(f"resultant {res} not divisible by a = {a}")
-    return quotient
-
-
-def _det_fraction_free(rows: list[list[int]]) -> int:
-    """Exact integer determinant (Bareiss elimination over Fractions)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    size = len(m)
-    sign = 1
-    for col in range(size):
-        pivot_row = next(
-            (r for r in range(col, size) if m[r][col] != 0), None
-        )
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            factor = m[r][col] / m[col][col]
-            for cc in range(col, size):
-                m[r][cc] -= factor * m[col][cc]
-    det = Fraction(sign)
-    for i in range(size):
-        det *= m[i][i]
-    if det.denominator != 1:
-        raise ArithmeticError("non-integer determinant from integer matrix")
-    return det.numerator
-
-
 def enumerate_representatives(
     m_cutoff: int,
     n_cutoff: int,
@@ -156,8 +108,6 @@ def enumerate_representatives(
     """
     if m_cutoff < 1 or n_cutoff < 1:
         raise ValueError("cutoffs must be >= 1")
-    from . import arith
-
     sqfree = None
     if require_odd_squarefree:
         sqfree = arith.squarefree_mask(n_cutoff)
@@ -174,17 +124,3 @@ def enumerate_representatives(
                     continue
                 yield (a, b, c, n)
 
-
-def count_forms(m: int, n: int) -> int:
-    """#{(b, c) : 0 <= b < 3m, 3mc - b^2 = n}, i.e. reduced forms over (m, n).
-
-    Direct enumeration; equals coefficient(m, n) = C(3m, -n), which a
-    test asserts.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"count_forms requires m, n >= 1, got ({m}, {n})")
-    total = 0
-    for b in range(3 * m):
-        if (b * b + n) % (3 * m) == 0:
-            total += 1
-    return total

@@ -848,13 +848,6 @@ def L_squarefree_restricted_table(
     )
 
 
-def L_squarefree_restricted(
-    psi: DirichletCharacter, b: int, w: complex, N: int
-) -> complex:
-    """Truncated sum over squarefree d <= N coprime to b of psi(d) d^(-w)."""
-    return complex(L_squarefree_restricted_table(psi, (b,), w, N)[0])
-
-
 def lb_finite_product(psi: DirichletCharacter, b: int, w: complex) -> complex:
     """Product over p | b of (1 + psi(p) p^(-w))^(-1).
 

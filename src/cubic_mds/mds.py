@@ -21,7 +21,7 @@ import numpy as np
 from . import arith, forms, sqcount
 from .arith import _finite, _px
 from .errors import PoleError
-from .euler import _local_factor, _unit_factor, local_factor_closed
+from .euler import _local_factor, _unit_factor
 from .lfunc import (
     DirichletCharacter,
     A_j,
@@ -47,19 +47,17 @@ class TruncationSpec:
     """Cutoffs and tolerance for one truncated evaluation.
 
     m_cutoff bounds the inner (form/coefficient) index, n_cutoff the
-    outer index, local_order the number of prime-power terms kept in a
-    local series, and tolerance the acceptance threshold a comparison
-    is judged against.  The tolerance should be justified by the tail
+    outer index, and tolerance the acceptance threshold a comparison is
+    judged against.  The tolerance should be justified by the tail
     bound (see coefficient_tail_bound) at the point of use.
     """
 
     m_cutoff: int
     n_cutoff: int
-    local_order: int = 60
     tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.m_cutoff < 1 or self.n_cutoff < 1 or self.local_order < 1:
+        if self.m_cutoff < 1 or self.n_cutoff < 1:
             raise ValueError("TruncationSpec cutoffs must be positive")
         if not self.tolerance > 0:
             raise ValueError("TruncationSpec tolerance must be positive")
@@ -100,23 +98,10 @@ class SeriesComparison:
             "spec": {
                 "m_cutoff": self.spec.m_cutoff,
                 "n_cutoff": self.spec.n_cutoff,
-                "local_order": self.spec.local_order,
                 "tolerance": self.spec.tolerance,
             },
         }
         return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeriesComparison":
-        data = json.loads(text)
-        spec = TruncationSpec(**data["spec"])
-        return cls(
-            lhs=complex(data["lhs_re"], data["lhs_im"]),
-            rhs=complex(data["rhs_re"], data["rhs_im"]),
-            abs_err=float(data["abs_err"]),
-            rel_err=float(data["rel_err"]),
-            spec=spec,
-        )
 
 
 def coefficient_tail_bound(m_cutoff: int, sigma: float) -> float:
@@ -136,8 +121,11 @@ def coefficient_tail_bound(m_cutoff: int, sigma: float) -> float:
     )
 
 
-def _fsum_complex(res: list[float], ims: list[float]) -> complex:
-    return complex(math.fsum(res), math.fsum(ims))
+def _fsum(terms: list[complex]) -> complex:
+    """Correctly rounded sum of complex terms, part by part."""
+    return complex(
+        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+    )
 
 
 def _inverse_powers(count: int, s: complex) -> np.ndarray:
@@ -164,15 +152,12 @@ def Z_direct(
     any regrouping.  Meaningful for Re(s1) > 1 and Re(s2) > 1 where the
     truncation tails are controlled.
     """
-    res: list[float] = []
-    ims: list[float] = []
-    for a, _b, _c, n in forms.enumerate_representatives(
-        spec.m_cutoff, spec.n_cutoff, require_odd_squarefree
-    ):
-        t = _px(a, s1) * _px(n, s2)
-        res.append(t.real)
-        ims.append(t.imag)
-    return _fsum_complex(res, ims)
+    return _fsum([
+        _px(a, s1) * _px(n, s2)
+        for a, _b, _c, n in forms.enumerate_representatives(
+            spec.m_cutoff, spec.n_cutoff, require_odd_squarefree
+        )
+    ])
 
 
 def _coefficient_double_sum(
@@ -185,8 +170,7 @@ def _coefficient_double_sum(
     """
     sqfree = arith.squarefree_mask(spec.n_cutoff)
     powers = _inverse_powers(spec.m_cutoff, s1)
-    res: list[float] = []
-    ims: list[float] = []
+    terms = []
     for n in range(1, spec.n_cutoff + 1, 2):
         if not sqfree[n]:
             continue
@@ -195,11 +179,8 @@ def _coefficient_double_sum(
         coeffs = np.asarray(
             sqcount.coefficient_sieve(n, spec.m_cutoff)[1:], dtype=float
         )
-        inner = complex(coeffs @ powers)
-        t = inner * _px(n, s2)
-        res.append(t.real)
-        ims.append(t.imag)
-    return _fsum_complex(res, ims)
+        terms.append(complex(coeffs @ powers) * _px(n, s2))
+    return _fsum(terms)
 
 
 def Z_coeff(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
@@ -242,24 +223,29 @@ def _prime_logs(prime_cutoff: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
 def Z_n_euler_product(n: int, s: complex, prime_cutoff: int) -> complex:
     """Product of the closed local factors over primes up to the cutoff.
 
-    The first factor checks n and s as `local_factor_closed` does; the
-    rest skip its primality proof, since the sieve made their p.  The
-    primes 2, 3 and those dividing n take `_local_factor`.  Every other
+    n and s are checked once, as `local_factor_closed` checks them, and
+    no factor repeats its primality proof, since the sieve made their p.
+    The primes 2, 3 and those dividing n take `_local_factor`.  Every other
     p takes the unramified factor (1 + x) / (1 - (-n/p) x), x = p^(-s),
     through the same `_unit_factor` as `unit_factor_generic`, with
     log p cached per cutoff, so the product is the same bit for bit.
     Its symbols (-n/p) come from `arith.legendre_column`, Euler's
     criterion for all primes at once: never from `lfunc.jacobi_table`
     or a character table, on which the closed form is built.
+
+    ValueError when n < 1, s is not finite or prime_cutoff < 1; cutoff 1
+    gives the empty product 1.
     """
+    if prime_cutoff < 1:
+        raise ValueError(f"prime cutoff must be >= 1, got {prime_cutoff}")
+    if n < 1:
+        raise ValueError(f"slice index must satisfy n >= 1, got {n}")
+    _finite(s)
     primes, logs = _prime_logs(prime_cutoff)
     out = 1 + 0j
-    if not primes:
-        return out
-    out *= local_factor_closed(primes[0], n, s)
     eps = arith.legendre_column(-n, arith._prime_array(prime_cutoff)).tolist()
-    for p, logp, e in zip(primes[1:], logs[1:], eps[1:]):
-        if e == 0 or p == 3:
+    for p, logp, e in zip(primes, logs, eps):
+        if e == 0 or p <= 3:
             out *= _local_factor(p, n, s)
         else:
             out *= _unit_factor(p, cmath.exp(-s * logp), e)
@@ -299,18 +285,15 @@ def Z_star(
     if chi.modulus != 24:
         raise ValueError("Z_star expects a character of modulus 24")
     sqfree = arith.squarefree_mask(spec.n_cutoff)
-    res: list[float] = []
-    ims: list[float] = []
+    terms = []
     for n in range(1, spec.n_cutoff + 1, 2):
         if n % 3 == 0 or not sqfree[n]:
             continue
         cv = complex(chi(n))
         if cv == 0:
             continue
-        t = cv * _L23_eta(n, s1) * _px(n, s2)
-        res.append(t.real)
-        ims.append(t.imag)
-    return _fsum_complex(res, ims)
+        terms.append(cv * _L23_eta(n, s1) * _px(n, s2))
+    return _fsum(terms)
 
 
 # ======================================================================
@@ -342,8 +325,7 @@ def residue_identity_check(
     kinv = _inverse_powers(inner_terms, s2)
     ks = np.arange(inner_terms + 1)
     chi_vec = np.asarray([complex(chi(k)).real for k in range(24)])[ks % 24]
-    res: list[float] = []
-    ims: list[float] = []
+    terms = []
     for m in range(1, spec.m_cutoff + 1):
         if m % 2 == 0 or m % 3 == 0:
             continue
@@ -356,11 +338,8 @@ def residue_identity_check(
         for p, _e in arith.factorize(m).factors:
             csq = complex(chi(p)) ** 2
             pref /= 1 - csq * _px(p, 2 * complex(s2))
-        t = pref * l_inner
-        res.append(t.real)
-        ims.append(t.imag)
-    rhs = _fsum_complex(res, ims)
-    return SeriesComparison.compare(lhs, rhs, spec)
+        terms.append(pref * l_inner)
+    return SeriesComparison.compare(lhs, _fsum(terms), spec)
 
 
 def prime_zeta(e: complex) -> complex:
@@ -453,7 +432,7 @@ def functional_equation_check(
     Gamma pole makes either side undefined raise PoleError instead of
     being dropped silently.
     """
-    spec = TruncationSpec(m_cutoff=1, n_cutoff=1, local_order=1, tolerance=tolerance)
+    spec = TruncationSpec(m_cutoff=1, n_cutoff=1, tolerance=tolerance)
     out = []
     for s in s_grid:
         s = complex(s)
@@ -496,7 +475,7 @@ def functional_equation_term_check(
         * dirichlet_L(prim, 1 - s1).value
         * _px(n, s1 + s2 - 0.5)
     )
-    spec = TruncationSpec(m_cutoff=1, n_cutoff=1, local_order=1, tolerance=tolerance)
+    spec = TruncationSpec(m_cutoff=1, n_cutoff=1, tolerance=tolerance)
     return SeriesComparison.compare(lhs, rhs, spec)
 
 

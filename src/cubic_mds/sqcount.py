@@ -44,14 +44,12 @@ def count_roots_bruteforce(m: int, n: int) -> int:
     return sum(1 for x in range(m) if x * x % m == target)
 
 
-def count_roots_residue_table(m: int) -> "np.ndarray":
+def count_roots_residue_table(m: int) -> np.ndarray:
     """Exhaustive counts for every residue at once: table[r] = C(m, r).
 
     One pass over x in [0, m) histogrammed by x^2 mod m; this is the
     oracle the bulk sweeps use (m <= 1e7).
     """
-    import numpy as np
-
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if m > _BRUTEFORCE_LIMIT:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import arith, forms, mds, sqcount
-from .euler import LocalFactorInput, local_factor_closed, local_factor_oracle
+from .euler import local_factor_closed, local_factor_oracle
 from .lfunc import (
     A_j,
     DirichletCharacter,
@@ -206,7 +206,7 @@ def criterion_local_factors() -> tuple[bool, str]:
     for p in arith.primes_up_to(53):
         for n in range(1, 401):
             closed = local_factor_closed(p, n, 2.0)
-            oracle = local_factor_oracle(LocalFactorInput(p=p, n=n, s=2.0, K=60))
+            oracle = local_factor_oracle(p, n, 2.0, K=60)
             rel = abs(closed - oracle) / max(abs(closed), abs(oracle), 1e-300)
             if rel > worst:
                 worst = rel

@@ -1,12 +1,16 @@
-"""Integer utilities: factorization, Kronecker symbol, squarefree kernels."""
+"""Integer utilities: factorization, Kronecker symbol, squarefree sieves."""
 
 import math
 import random
 
-import numpy as np
 import pytest
 
 from cubic_mds import arith
+
+try:
+    from hypothesis import assume, given, strategies as st
+except ImportError:  # the property tests are then skipped
+    given = None
 
 # ======================================================================
 # factorization
@@ -121,6 +125,22 @@ def test_kronecker_periodicity_odd_bottoms():
             assert arith.kronecker(a, b) == arith.kronecker(a, b + period)
 
 
+if given is not None:
+    odd_positive = st.integers(0, 10**6).map(lambda k: 2 * k + 1)
+
+    @given(a=odd_positive, b=odd_positive)
+    def test_kronecker_reciprocity_property(a, b):
+        # (a/b)(b/a) = (-1)^((a-1)/2 (b-1)/2) for coprime odd a, b > 0.
+        assume(math.gcd(a, b) == 1)
+        sign = -1 if (a - 1) // 2 * ((b - 1) // 2) % 2 else 1
+        assert arith.kronecker(a, b) * arith.kronecker(b, a) == sign
+
+    @given(b=odd_positive)
+    def test_kronecker_supplementary_laws_property(b):
+        assert arith.kronecker(-1, b) == (-1) ** ((b - 1) // 2)
+        assert arith.kronecker(2, b) == (-1) ** ((b * b - 1) // 8)
+
+
 # ======================================================================
 # squarefree structure
 # ======================================================================
@@ -141,32 +161,6 @@ def test_squarefree_mask_matches_pointwise():
         assert bool(mask[n]) == arith.is_squarefree(n), n
 
 
-def test_squarefree_split_random():
-    rng = random.Random(14)
-    for _ in range(200):
-        n = rng.randrange(1, 10**7)
-        sp = arith.squarefree_split(n)
-        assert sp.reconstruct() == n
-        assert sp.kernel % 2 == 1
-        assert arith.is_squarefree(sp.kernel)
-        # Ramified square is built from kernel primes only; the
-        # unramified one is odd and coprime to the kernel.
-        for p, _ in arith.factorize(sp.ramified_square).factors:
-            assert sp.kernel % p == 0
-        assert sp.unramified_square % 2 == 1
-        assert math.gcd(sp.unramified_square, sp.kernel) == 1
-
-
-def test_squarefree_split_explicit():
-    # 720 = 2^4 * 3^2 * 5 and 378 = 2 * 3^3 * 7.
-    sp = arith.squarefree_split(720)
-    assert (sp.two_exponent, sp.kernel, sp.ramified_square,
-            sp.unramified_square) == (4, 5, 1, 3)
-    sp = arith.squarefree_split(378)
-    assert (sp.two_exponent, sp.kernel, sp.ramified_square,
-            sp.unramified_square) == (1, 21, 3, 1)
-
-
 # ======================================================================
 # sieves
 # ======================================================================
@@ -179,10 +173,10 @@ def test_primes_up_to():
     assert all(arith.is_probable_prime(p) for p in primes[:100])
 
 
-def test_spf_array_divides_and_is_minimal():
-    spf = arith.spf_array(500)
+def test_spf_list_divides_and_is_minimal():
+    spf = arith.spf_list(500)
     for n in range(2, 501):
-        p = int(spf[n])
+        p = spf[n]
         assert n % p == 0
         assert all(n % q for q in range(2, p))
 
@@ -195,8 +189,8 @@ def test_is_probable_prime_against_sieve():
 
 def test_is_probable_prime_matches_spf_to_200k():
     limit = 200_000
-    spf = arith.spf_array(limit)
-    want = (spf[: limit + 1] == np.arange(limit + 1)).tolist()
+    spf = arith.spf_list(limit)
+    want = [spf[k] == k for k in range(limit + 1)]
     want[:2] = [False, False]
     got = [arith.is_probable_prime(k) for k in range(limit + 1)]
     assert got == want

@@ -226,6 +226,10 @@ def test_exit_code_on_malformed_input(capsys):
     assert cli.main(["lfun", "--char", "nope:1", "--s", "2"]) == 2
     assert cli.main(["zn", "4", "--s", "2.5"]) == 2
     assert cli.main(["zn", "5", "--s", "nan"]) == 2
+    assert cli.main(["zn", "5", "--s", "2.5", "--prime-cutoff", "0"]) == 2
+    assert cli.main(["zn", "5", "--s", "2.5", "--prime-cutoff", "-7"]) == 2
+    assert cli.main(["euler", "5", "7", "--s", "2", "--k", "0"]) == 2
+    assert cli.main(["euler", "5", "7", "--s", "2", "--k", "-1"]) == 2
     assert cli.main(["lfun", "--char", "eta:-5", "--s", "nan"]) == 2
     assert cli.main(["lfun", "--char", "eta:-25001", "--s", "2"]) == 2
     assert cli.main(["lfun", "--char", "psi:8335", "--s", "2"]) == 2

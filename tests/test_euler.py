@@ -9,7 +9,6 @@ import pytest
 from cubic_mds import arith
 from cubic_mds.errors import PoleError
 from cubic_mds.euler import (
-    LocalFactorInput,
     local_factor_closed,
     local_factor_oracle,
     ramified_even_closed,
@@ -43,7 +42,7 @@ def test_closed_matches_oracle_unit_and_ramified(s):
                     continue
                 K = 80
                 closed = local_factor_closed(p, n, s)
-                oracle = local_factor_oracle(LocalFactorInput(p, n, s, K))
+                oracle = local_factor_oracle(p, n, s, K)
                 tol = tail_bound(p, s, K) + 1e-12
                 assert abs(closed - oracle) <= tol, (p, n, s)
 
@@ -111,7 +110,10 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         local_factor_closed(5, 0, 2.0)
     with pytest.raises(ValueError):
-        local_factor_oracle(LocalFactorInput(6, 1, 2.0, 40))
+        local_factor_oracle(6, 1, 2.0, 40)
+    for K in (0, -1):
+        with pytest.raises(ValueError, match="K >= 1"):
+            local_factor_oracle(5, 7, 2.0, K)
     for s in (float("nan"), float("inf"), complex(1.0, float("nan"))):
         with pytest.raises(ValueError, match="finite"):
             local_factor_closed(5, 7, s)
@@ -127,6 +129,6 @@ def test_pole_guard():
 def test_oracle_truncation_stability():
     s = 2.0 + 0.7j
     for p, n in [(2, 7), (3, 3), (5, 25), (7, 7)]:
-        a = local_factor_oracle(LocalFactorInput(p, n, s, 40))
-        b = local_factor_oracle(LocalFactorInput(p, n, s, 80))
+        a = local_factor_oracle(p, n, s, 40)
+        b = local_factor_oracle(p, n, s, 80)
         assert abs(a - b) <= tail_bound(p, s, 40) + 1e-15, (p, n)

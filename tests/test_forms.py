@@ -1,6 +1,7 @@
 """Binary cubic forms: invariants, reduction, representative counting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,12 +27,53 @@ def test_syzygy_random():
         assert 4 * inv.r2**3 == inv.r3**2 + 27 * inv.r1**2 * inv.r4
 
 
+def _det_fraction_free(rows: list[list[int]]) -> int:
+    """Exact integer determinant (Gaussian elimination over Fractions)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    size = len(m)
+    sign = 1
+    for col in range(size):
+        pivot_row = next(
+            (r for r in range(col, size) if m[r][col] != 0), None
+        )
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        for r in range(col + 1, size):
+            factor = m[r][col] / m[col][col]
+            for cc in range(col, size):
+                m[r][cc] -= factor * m[col][cc]
+    det = Fraction(sign)
+    for i in range(size):
+        det *= m[i][i]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def discriminant_resultant(f: BinaryCubicForm) -> int:
+    """r4 recomputed as -Res(f, f')/a via an exact Sylvester determinant,
+    an oracle for the polynomial expression in `forms.invariants`."""
+    a, b, c, d = f.coefficients()
+    rows = [
+        [a, b, c, d, 0],
+        [0, a, b, c, d],
+        [3 * a, 2 * b, c, 0, 0],
+        [0, 3 * a, 2 * b, c, 0],
+        [0, 0, 3 * a, 2 * b, c],
+    ]
+    quotient, remainder = divmod(-_det_fraction_free(rows), a)
+    assert remainder == 0
+    return quotient
+
+
 def test_discriminant_resultant_route():
     rng = random.Random(32)
     for _ in range(200):
         a = rng.randrange(1, 10)
         f = BinaryCubicForm(a, *(rng.randrange(-9, 10) for _ in range(3)))
-        assert forms.discriminant_resultant(f) == forms.invariants(f).r4
+        assert discriminant_resultant(f) == forms.invariants(f).r4
 
 
 def test_invariants_translation_invariant():
@@ -68,6 +110,10 @@ def test_reduce_lands_in_window():
         assert 0 <= g.b < 3 * g.a
         assert g.a == f.a
         assert forms.invariants(g).r2 == forms.invariants(f).r2
+        # Exactly one representative per orbit: every translate of f
+        # reduces to g, and g is its own reduction.
+        assert forms.reduce(forms.gamma_shift(f, rng.randrange(-20, 21))) == g
+        assert forms.reduce(g) == g
 
 
 def test_reduce_requires_positive_leading():
@@ -86,23 +132,18 @@ def test_gamma_shift_is_group_action():
 # ======================================================================
 
 
-def test_count_forms_equals_coefficient():
-    for m in range(1, 61):
-        for n in range(1, 61):
-            assert forms.count_forms(m, n) == sqcount.coefficient(m, n), (m, n)
-
-
 def test_enumeration_multiplicities():
-    rows = list(forms.enumerate_representatives(20, 40, False))
+    # The reduced forms over (a, n) number C(3a, -n), the coefficient.
+    rows = list(forms.enumerate_representatives(60, 60, False))
     tally: dict[tuple[int, int], int] = {}
     for a, b, c, n in rows:
         assert 0 <= b < 3 * a
         assert 3 * a * c - b * b == n
-        assert 1 <= n <= 40
+        assert 1 <= n <= 60
         tally[(a, n)] = tally.get((a, n), 0) + 1
-    for a in range(1, 21):
-        for n in range(1, 41):
-            assert tally.get((a, n), 0) == forms.count_forms(a, n), (a, n)
+    for a in range(1, 61):
+        for n in range(1, 61):
+            assert tally.get((a, n), 0) == sqcount.coefficient(a, n), (a, n)
 
 
 def test_enumeration_odd_squarefree_filter():

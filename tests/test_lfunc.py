@@ -13,7 +13,7 @@ from cubic_mds.lfunc import (
     DirichletCharacter,
     A_j,
     L_removed_23,
-    L_squarefree_restricted,
+    L_squarefree_restricted_table,
     Z_n_closed,
     a_n,
     all_characters_mod,
@@ -413,8 +413,8 @@ def test_squarefree_restricted_identity_small():
                 q, [complex(v) ** 2 for v in psi.values]
             )
             for b in [1, 6, 10]:
-                lhs = dirichlet_L(psi_sq, 2 * w).value * L_squarefree_restricted(
-                    psi, b, w, 20000
+                lhs = dirichlet_L(psi_sq, 2 * w).value * complex(
+                    L_squarefree_restricted_table(psi, (b,), w, 20000)[0]
                 )
                 rhs = dirichlet_L(psi, w).value * lb_finite_product(psi, b, w)
                 assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs)), (q, b)

@@ -28,11 +28,15 @@ def test_series_comparison_roundtrip():
     spec = mds.TruncationSpec(m_cutoff=50, n_cutoff=20, tolerance=1e-6)
     c = mds.SeriesComparison.compare(1.0 + 2.0j, 1.0 + 2.0000001j, spec)
     assert c.passed
-    text = c.to_json()
-    back = mds.SeriesComparison.from_json(text)
-    assert back == c
-    parsed = json.loads(text)
-    assert parsed["spec"]["m_cutoff"] == 50
+    assert json.loads(c.to_json()) == {
+        "lhs_re": 1.0,
+        "lhs_im": 2.0,
+        "rhs_re": 1.0,
+        "rhs_im": 2.0000001,
+        "abs_err": c.abs_err,
+        "rel_err": c.rel_err,
+        "spec": {"m_cutoff": 50, "n_cutoff": 20, "tolerance": 1e-6},
+    }
 
 
 def test_series_comparison_relative_error():
@@ -111,8 +115,7 @@ def test_zn_euler_product_converges_to_oracle():
 
 def test_zn_euler_product_proves_no_sieved_prime(monkeypatch):
     # The product equals the checked local factors multiplied in order,
-    # bit for bit, but proves at most one prime: the others come from
-    # the sieve.
+    # bit for bit, but proves no prime: they come from the sieve.
     for n, s in [(5, 2.5), (7, 2.5), (45, 2.2 + 3j), (1, 3.0)]:
         want = 1 + 0j
         for p in arith.primes_up_to(3000):
@@ -124,12 +127,23 @@ def test_zn_euler_product_proves_no_sieved_prime(monkeypatch):
         )
         assert mds.Z_n_euler_product(n, s, 3000) == want, n
         monkeypatch.undo()
-        assert len(proofs) <= 1
-    # n and s are still checked, once; no prime leaves nothing to check.
-    with pytest.raises(ValueError):
-        mds.Z_n_euler_product(0, 2.5, 100)
-    with pytest.raises(ValueError, match="finite"):
-        mds.Z_n_euler_product(5, float("nan"), 100)
+        assert proofs == []
+
+
+def test_zn_euler_product_checks_inputs_without_primes():
+    # n, s and the cutoff are checked before the empty product returns.
+    for cutoff in (1, 100):
+        with pytest.raises(ValueError, match="n >= 1"):
+            mds.Z_n_euler_product(0, 2.5, cutoff)
+        with pytest.raises(ValueError, match="n >= 1"):
+            mds.Z_n_euler_product(-4, 2.0, cutoff)
+        with pytest.raises(ValueError, match="finite"):
+            mds.Z_n_euler_product(5, float("nan"), cutoff)
+        with pytest.raises(ValueError):
+            mds.Z_n_euler_product(0, complex("nan"), cutoff)
+    for cutoff in (0, -7):
+        with pytest.raises(ValueError, match="prime cutoff"):
+            mds.Z_n_euler_product(5, 2.5, cutoff)
     assert mds.Z_n_euler_product(5, 2.5, 1) == 1
 
 

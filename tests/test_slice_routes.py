@@ -69,7 +69,13 @@ def plain_Z_n_oracle(n: int, s, m_cutoff: int) -> complex:
 
 
 def plain_Z_n_euler_product(n: int, s, prime_cutoff: int) -> complex:
-    """One `_local_factor` per prime, each with its own Kronecker symbol."""
+    """One `_local_factor` per prime, each with its own Kronecker symbol;
+    the cutoff, n and s are checked even when no prime is left."""
+    if prime_cutoff < 1:
+        raise ValueError(f"prime cutoff must be >= 1, got {prime_cutoff}")
+    if n < 1:
+        raise ValueError(f"slice index must satisfy n >= 1, got {n}")
+    _finite(s)
     primes = arith.primes_up_to(prime_cutoff)
     out = 1 + 0j
     if primes:
@@ -172,6 +178,7 @@ def test_euler_product_equals_plain_product_on_errors():
         for s in (0, 0j, 1, complex(0.0, -0.0), complex(-800, 1), float("nan"))
         for cutoff in (2, 3, 27, 1000)
     ] + [(0, 2.5, 100), (-5, 2.5, 100), (0, 2.5, 1), (10**20 + 7, 2.5, 1000)]
+    cases += [(5, float("nan"), 1), (5, 2.5, 0), (5, 2.5, -7), (0, 2.5, 0)]
     raised = 0
     for n, s, cutoff in cases:
         want = outcome(plain_Z_n_euler_product, n, s, cutoff)

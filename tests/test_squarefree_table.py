@@ -1,4 +1,4 @@
-"""The batched squarefree-restricted sums against the scalar route and a
+"""The batched squarefree-restricted sums against one-b tables and a
 plain-Python loop."""
 
 import functools
@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cubic_mds import arith, lfunc  # noqa: E402
 from cubic_mds.lfunc import (  # noqa: E402
-    L_squarefree_restricted,
     L_squarefree_restricted_table,
     all_characters_mod,
 )
@@ -60,7 +59,7 @@ def test_table_matches_scalar_and_reference(q, pick, bs, N, w):
     table = L_squarefree_restricted_table(psi, bs, w, N)
     assert table.shape == (len(bs),)
     for b, got in zip(bs, table.tolist()):
-        assert got == L_squarefree_restricted(psi, b, w, N), b
+        assert got == L_squarefree_restricted_table(psi, (b,), w, N)[0], b
         want = _reference(psi, b, w, N)
         assert abs(got - want) <= 1e-13 * abs(want), (b, got, want)
 
@@ -70,8 +69,6 @@ def test_table_rejects_bad_b_and_N():
     for bs, N in (((1, 0), 100), ((3,), 0), ((-2,), 10)):
         with pytest.raises(ValueError):
             L_squarefree_restricted_table(psi, bs, 2.5, N)
-    with pytest.raises(ValueError):
-        L_squarefree_restricted(psi, 0, 2.5, 100)
 
 
 def test_cached_arrays_are_read_only():
