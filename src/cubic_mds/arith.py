@@ -4,8 +4,9 @@ Everything downstream -- square-root counting, local Euler factors,
 character tables, bulk series evaluation -- reduces to a handful of
 tools collected here:
 
-* factorization with a 64-bit input contract (trial division, then
-  Brent's cycle variant of Pollard rho behind a Miller-Rabin test),
+* factorization with a 64-bit input contract (trial division by the
+  primes up to 37, then Brent's cycle variant of Pollard rho behind a
+  Miller-Rabin test),
 * the fully extended Kronecker symbol (a/b), defined for every pair of
   integers except (0, 0),
 * squarefree detection,
@@ -128,22 +129,15 @@ def factorize(n: int) -> PrimeFactorization:
         raise ValueError(f"factorize requires 1 <= n <= 2^63-1, got {n}")
     found: dict[int, int] = {}
     m = n
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
-    d = 7
-    while d * d <= m and d <= 1_000_000:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            found[d] = e
-        d += 2
     if m > 1:
-        # m has no prime factor up to the trial-division bound, but above
-        # 1e12 it can still be composite: test it, and split with rho.
+        # No prime below the last p tried divides m, so m is prime when
+        # p^2 > m and may be composite otherwise: test it, split with rho.
         stack = [m]
         while stack:
             t = stack.pop()

@@ -337,8 +337,7 @@ def _zn_row(task) -> tuple:
     n, s, cutoff = task
     closed = Z_n_closed(n, s)
     oracle = mds.Z_n_oracle(n, s, cutoff)
-    rel = abs(closed - oracle) / max(abs(closed), abs(oracle), 1e-300)
-    return (n, closed, oracle, rel)
+    return (n, closed, oracle, mds.rel_err(closed, oracle))
 
 
 def _cmd_table(args) -> int:

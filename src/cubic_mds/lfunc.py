@@ -2,15 +2,15 @@
 
 Characters are dense value tables on their modulus (the moduli here
 stay in the thousands, so no label machinery is needed).  Each keeps
-its table twice: as a read-only numpy array (`table`: int8 for real
-characters, complex128 otherwise), which the builders fill and the
-conductor scan, primitive part and L-sums read without per-entry
-Python, and as a tuple of Python scalars (`values`), built once, which
-equality, hashing and `chi(m)` use.  The quadratic tables come from
+one table, a read-only numpy array (`table`: int8 for real characters,
+complex128 otherwise), which the builders fill and the conductor scan,
+primitive part, L-sums, equality and `chi(m)` read without per-entry
+Python; the tuple `values` is derived from it on each access, for
+readers outside the package.  The quadratic tables come from
 `jacobi_table`, the Jacobi symbol as a product of Legendre tables,
-through quadratic reciprocity.  L-functions
-are evaluated two independent ways: a truncated Dirichlet sum, honest
-only well right of the convergence line, and a Hurwitz-zeta route
+through quadratic reciprocity.  L-functions are evaluated two
+independent ways: a truncated Dirichlet sum, honest only well right of
+the convergence line, and a Hurwitz-zeta route
 
     L(s, chi) = q^(-s) sum_{a=1..q} chi(a) zeta(s, a/q)
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -143,10 +144,11 @@ def _expm1_over(u: np.ndarray) -> np.ndarray:
 
 # A block holds _em_shift(s) rows, about 1.6 |Im s|, of one column per
 # point, and its temporaries take some 32 bytes an entry.  Past 2^24
-# entries it is refused before anything is allocated.  The CLI's largest
-# block, `lfun` on 40,000 residues at |Im s| = 50, has 3.6 million; a
-# bound on |Im s| alone would refuse the one-point zeta(ke) far up the
-# line that the prime-zeta tail of `mds.residue_product` evaluates.
+# entries it is refused before anything is allocated; `Z_n_closed` and
+# `completed_Lambda` count their points from n and refuse before they
+# build a table.  A bound on |Im s| alone would refuse the one-point
+# zeta(ke) far up the line that the prime-zeta tail of
+# `mds.residue_product` evaluates.
 _MAX_BLOCK = 2**24
 
 # Criterion 8 asks for the same block (same s, points and deflation)
@@ -154,6 +156,15 @@ _MAX_BLOCK = 2**24
 # The last few small blocks are kept; the memo stays too small to carry
 # one verification pass into the next.
 _MEMO_MAX_POINTS = 1024
+
+
+def _check_block(s: complex, points: int, what: str) -> None:
+    """ValueError naming `what` when `points` Hurwitz columns at finite s
+    would pass _MAX_BLOCK entries."""
+    rows = _em_shift(s)
+    if rows * points > _MAX_BLOCK:
+        raise ValueError(f"{what} needs {rows} Hurwitz rows for {points} points,"
+                         f" past the limit of {_MAX_BLOCK} entries")
 
 
 def _hurwitz_block(
@@ -168,12 +179,7 @@ def _hurwitz_block(
     """
     s = _finite(complex(s))
     xs = np.asarray(xs, dtype=float)
-    rows = _em_shift(s)
-    if rows * xs.size > _MAX_BLOCK:
-        raise ValueError(
-            f"|Im s| = {abs(s.imag):g} needs {rows} Hurwitz rows for"
-            f" {xs.size} points, past the limit of {_MAX_BLOCK} entries"
-        )
+    _check_block(s, xs.size, f"|Im s| = {abs(s.imag):g}")
     if xs.size > _MEMO_MAX_POINTS:
         return _hurwitz_sum(s, xs, deflate)
     # The bytes of s tell +0.0 from -0.0, which complex equality does not.
@@ -336,19 +342,16 @@ class DirichletCharacter:
 
     `table` is a read-only numpy array of chi(m) over m = 0..q-1: int8
     when every value is -1, 0 or 1 (the real characters), complex128
-    otherwise.  `values` holds the same values as a tuple of Python
-    scalars, built once from the array; equality, hashing and
-    `__call__` read the tuple.  Entries are exactly zero on residues
-    sharing a factor with q.  parity is 0 when chi(-1) = 1, 1 when
-    chi(-1) = -1.  Principality and the conductor (minimal inducing
-    modulus) are computed on first access and cached; construction
-    itself stays cheap so bulk sweeps can build thousands of tables.
+    otherwise.  It is the only stored form: equality and `__call__` read
+    it, and `values` derives a tuple of Python scalars from it on each
+    access.  Entries are exactly zero on residues sharing a factor with
+    q.  parity is 0 when chi(-1) = 1, 1 when chi(-1) = -1.
+    Principality and the conductor (minimal inducing modulus) are
+    computed on first access and cached; construction itself stays
+    cheap so bulk sweeps can build thousands of tables.
     """
 
-    __slots__ = (
-        "modulus", "table", "values", "parity", "is_real",
-        "_conductor", "_principal",
-    )
+    __slots__ = ("modulus", "table", "parity", "is_real", "_conductor", "_principal")
 
     def __init__(self, modulus: int, values) -> None:
         if modulus < 1:
@@ -371,11 +374,10 @@ class DirichletCharacter:
         table.setflags(write=False)
         self.modulus = modulus
         self.table = table
-        self.values = tuple(table.tolist())
         if modulus == 1:
             self.parity = 0
         else:
-            v = complex(self.values[modulus - 1])
+            v = complex(table[modulus - 1])
             if abs(v - 1) < _ONE_EPS:
                 self.parity = 0
             elif abs(v + 1) < _ONE_EPS:
@@ -386,18 +388,23 @@ class DirichletCharacter:
         self._conductor: int | None = None
         self._principal: bool | None = None
 
+    @property
+    def values(self) -> tuple:
+        """chi(0..q-1) as Python scalars, derived from `table` on each access."""
+        return tuple(self.table.tolist())
+
     def __call__(self, m: int):
-        return self.values[m % self.modulus]
+        return self.table.item(m % self.modulus)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DirichletCharacter)
             and self.modulus == other.modulus
-            and self.values == other.values
+            and np.array_equal(self.table, other.table)
         )
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.values))
+        return hash((self.modulus, tuple(self.table.tolist())))
 
     def __repr__(self) -> str:
         kind = "real" if self.is_real else "complex"
@@ -448,7 +455,7 @@ def character_from_symbol(top: int, modulus: int) -> DirichletCharacter:
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if modulus == 1:
-        return DirichletCharacter(1, (1,))
+        return principal_character(1)
     units = np.flatnonzero(_unit_mask(modulus))
     vals = np.zeros(modulus, dtype=np.int8)
     odd_top = abs(top) >> arith.valuation(abs(top), 2) if top else 0
@@ -475,6 +482,15 @@ def character_eta(n: int) -> DirichletCharacter:
 _CHI4_UNITS6 = np.array([0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1], dtype=np.int8)
 
 
+def _psi_n_points(n: int) -> int:
+    """phi(f) for the conductor f of psi_n: where its primitive part is
+    nonzero.  ValueError unless n is odd, squarefree and coprime to 3."""
+    factors = arith.factorize(n).factors if n >= 1 else ()
+    if n < 1 or n % 6 not in (1, 5) or any(e > 1 for _, e in factors):
+        raise ValueError(f"psi_n requires odd squarefree n coprime to 3, got {n}")
+    return math.prod(p - 1 for p, _ in factors) * (2 if n % 4 == 1 else 1)
+
+
 def psi_n_character(n: int) -> DirichletCharacter:
     """The odd real character m -> chi_4(m) (n/m) 1_3(m), mod 12n.
 
@@ -487,10 +503,7 @@ def psi_n_character(n: int) -> DirichletCharacter:
     `jacobi_table(n)` repeated 12 times, times chi_4 (n = 1 mod 4) or
     1 (n = 3 mod 4) on the units mod 6, repeated n times.
     """
-    if n < 1 or n % 2 == 0 or n % 3 == 0 or not arith.is_squarefree(n):
-        raise ValueError(
-            f"psi_n requires odd squarefree n coprime to 3, got {n}"
-        )
+    _psi_n_points(n)  # checks n
     window = _CHI4_UNITS6 if n % 4 == 1 else np.abs(_CHI4_UNITS6)
     vals = np.tile(jacobi_table(n), 12) * np.tile(window, n)
     chi = DirichletCharacter(12 * n, vals)
@@ -500,17 +513,6 @@ def psi_n_character(n: int) -> DirichletCharacter:
 
 
 _UNITS_MOD24 = (1, 5, 7, 11, 13, 17, 19, 23)
-# exponent vector of each unit on the generators (5, 7, 13)
-_EXP_MOD24 = {
-    1: (0, 0, 0),
-    5: (1, 0, 0),
-    7: (0, 1, 0),
-    11: (1, 1, 0),
-    13: (0, 0, 1),
-    17: (1, 0, 1),
-    19: (0, 1, 1),
-    23: (1, 1, 1),
-}
 
 
 def characters_mod24() -> list[DirichletCharacter]:
@@ -528,14 +530,11 @@ def characters_mod24() -> list[DirichletCharacter]:
 def _characters_mod24() -> tuple[DirichletCharacter, ...]:
     out = []
     for j in range(8):
-        signs = (
-            -1 if j & 1 else 1,
-            -1 if j & 2 else 1,
-            -1 if j & 4 else 1,
-        )
         vals = [0] * 24
-        for u, (e5, e7, e13) in _EXP_MOD24.items():
-            vals[u] = (signs[0] ** e5) * (signs[1] ** e7) * (signs[2] ** e13)
+        # the unit 5^e0 7^e1 13^e2 takes the sign (-1)^(sum of e_i bit_i(j))
+        for e in itertools.product((0, 1), repeat=3):
+            flips = sum(ei * (j >> i & 1) for i, ei in enumerate(e))
+            vals[5 ** e[0] * 7 ** e[1] * 13 ** e[2] % 24] = (-1) ** flips
         out.append(DirichletCharacter(24, vals))
     return tuple(out)
 
@@ -562,87 +561,60 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(f, vals)
 
 
-def _primitive_root(prime_power: int, p: int) -> int:
-    phi = prime_power // p * (p - 1)
-    prime_divs = [q for q, _ in arith.factorize(phi).factors]
-    for g in range(2, prime_power):
-        if gcd(g, prime_power) != 1:
-            continue
-        if all(pow(g, phi // q, prime_power) != 1 for q in prime_divs):
-            return g
-    raise ArithmeticError(f"no primitive root mod {prime_power}")
+def _primitive_root(P: int, p: int) -> int:
+    """The least generator of the cyclic group (Z/P)^x, P = p^e with p odd."""
+    phi = P // p * (p - 1)
+    divs = [r for r, _ in arith.factorize(phi).factors]
+    return next(g for g in range(2, P)
+                if g % p and all(pow(g, phi // r, P) != 1 for r in divs))
+
+
+def _dlog(P: int, g: int, order: int) -> list[int]:
+    """List over the residues mod P: k at g^k for 0 <= k < order, else 0."""
+    dlog = [0] * P
+    u = 1
+    for k in range(order):
+        dlog[u] = k
+        u = u * g % P
+    return dlog
 
 
 def all_characters_mod(q: int) -> list[DirichletCharacter]:
     """Every Dirichlet character mod q (complex-valued in general).
 
     Built from the cyclic decomposition of the unit group; intended for
-    exhaustive sweeps at small moduli, not for bulk arithmetic.
+    exhaustive sweeps at small moduli, not for bulk arithmetic.  The
+    exponent on the first cyclic factor runs fastest.
     """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     if q == 1:
-        return [DirichletCharacter(1, (1,))]
-    # components: (prime power P, dlog table over (Z/P)^x, cyclic order)
-    comps: list[tuple[int, dict[int, int], int]] = []
+        return [principal_character(1)]
+    # components: (prime power P, dlog list over residues mod P, cyclic order)
+    comps: list[tuple[int, list[int], int]] = []
     for p, e in arith.factorize(q).factors:
         P = p**e
-        if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                comps.append((P, {1: 0, 3: 1}, 2))
-            else:
-                half = 2 ** (e - 2)
-                dlog_sign: dict[int, int] = {}
-                dlog_five: dict[int, int] = {}
-                u = 1
-                for k in range(half):
-                    dlog_sign[u] = 0
-                    dlog_five[u] = k
-                    dlog_sign[(-u) % P] = 1
-                    dlog_five[(-u) % P] = k
-                    u = u * 5 % P
-                comps.append((P, dlog_sign, 2))
-                comps.append((P, dlog_five, half))
-        else:
-            g = _primitive_root(P, p)
+        if p > 2:
             order = P // p * (p - 1)
-            dlog: dict[int, int] = {}
-            u = 1
-            for k in range(order):
-                dlog[u] = k
-                u = u * g % P
-            comps.append((P, dlog, order))
-    orders = [d for _, _, d in comps]
+            comps.append((P, _dlog(P, _primitive_root(P, p), order), order))
+        elif P > 2:
+            # (Z/2^e)^x is {+-1} x <5>, and 5 has order 2^(e-2)
+            comps.append((P, [int(m % 4 == 3) for m in range(P)], 2))
+            if P > 4:
+                five = _dlog(P, 5, P // 4)
+                comps.append((P, [five[m] + five[-m % P] for m in range(P)], P // 4))
+    units = np.flatnonzero(_unit_mask(q)).tolist()
     out: list[DirichletCharacter] = []
-    index = [0] * len(comps)
-    while True:
+    for index in itertools.product(*(range(d) for _, _, d in reversed(comps))):
         vals: list = [0] * q
-        for m in range(q):
-            if gcd(m, q) != 1:
-                continue
+        for m in units:
             angle = 0.0
-            for (P, dlog, d), k in zip(comps, index):
+            for (P, dlog, d), k in zip(comps, reversed(index)):
                 angle += k * dlog[m % P] / d
             z = cmath.exp(2j * math.pi * angle)
             # snap the exact rational points so real characters stay integer
-            if abs(z.imag) < 1e-12:
-                vals[m] = int(round(z.real))
-            else:
-                vals[m] = z
+            vals[m] = int(round(z.real)) if abs(z.imag) < 1e-12 else z
         out.append(DirichletCharacter(q, vals))
-        pos = 0
-        while pos < len(index):
-            index[pos] += 1
-            if index[pos] < orders[pos]:
-                break
-            index[pos] = 0
-            pos += 1
-        else:
-            break
-        if pos >= len(index):
-            break
     return out
 
 
@@ -652,18 +624,13 @@ def fundamental_discriminants(bound: int) -> list[int]:
     d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree.
     Sorted by (|d|, d).
     """
-    found = []
-    for d in range(-bound, bound + 1):
-        if d == 0:
-            continue
-        if d % 4 == 1 and arith.is_squarefree(abs(d)):
-            found.append(d)
-        elif d % 4 == 0:
-            m = d // 4
-            if m % 4 in (2, 3) and arith.is_squarefree(abs(m)):
-                found.append(d)
-    found.sort(key=lambda d: (abs(d), d))
-    return found
+    found = [
+        d for d in range(-bound, bound + 1) if d and (
+            d % 4 == 1 and arith.is_squarefree(abs(d))
+            or d % 4 == 0 and d // 4 % 4 in (2, 3) and arith.is_squarefree(abs(d // 4))
+        )
+    ]
+    return sorted(found, key=lambda d: (abs(d), d))
 
 
 def real_primitive_characters(max_modulus: int) -> list[DirichletCharacter]:
@@ -685,10 +652,10 @@ def real_primitive_characters(max_modulus: int) -> list[DirichletCharacter]:
 def twisted_exponential_sum(chi: DirichletCharacter) -> complex:
     """Raw sum over l mod q of chi(l) e^(2 pi i l / q), no primitivity gate."""
     q = chi.modulus
-    values = chi.values
+    support = np.flatnonzero(chi.table)
     total = 0j
-    for l in np.flatnonzero(chi.table).tolist():
-        total += complex(values[l]) * cmath.exp(2j * math.pi * l / q)
+    for l, v in zip(support.tolist(), chi.table[support].tolist()):
+        total += complex(v) * cmath.exp(2j * math.pi * l / q)
     return total
 
 
@@ -781,14 +748,11 @@ def dirichlet_L_direct(
     )
 
 
-_PRINCIPAL_MOD1 = None
+_PRINCIPAL_MOD1 = principal_character(1)
 
 
 def riemann_zeta(s: complex) -> complex:
     """zeta(s) as the modulus-1 case of dirichlet_L; PoleError at s = 1."""
-    global _PRINCIPAL_MOD1
-    if _PRINCIPAL_MOD1 is None:
-        _PRINCIPAL_MOD1 = DirichletCharacter(1, (1,))
     return dirichlet_L(_PRINCIPAL_MOD1, s).value
 
 
@@ -912,15 +876,15 @@ def a_n(n: int, s: complex) -> complex:
     if gcd(n, 24) != 1:
         raise ValueError(f"a_n requires gcd(n, 24) = 1, got n = {n}")
     s = complex(s)
-    chars = characters_mod24()
+    tables = [chi.table.tolist() for chi in _characters_mod24()]
     total = 0j
     for j in _UNITS_MOD24:
         aj = A_j(j, s)
         if aj == 0:
             continue
-        for chi in chars:
+        for vals in tables:
             # real characters: chi(j)^(-1) = chi(j)
-            total += chi.values[j] * aj * chi.values[n % 24]
+            total += vals[j] * aj * vals[n % 24]
     return total / 8
 
 
@@ -937,7 +901,8 @@ def Z_n_closed(n: int, s: complex) -> complex:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"Z_n_closed requires odd positive n, got {n}")
-    if not arith.is_squarefree(n):
+    factors = arith.factorize(n).factors
+    if any(e > 1 for _, e in factors):
         raise ValueError(f"Z_n_closed requires squarefree n, got {n}")
     s = _finite(complex(s))
     j = n % 24
@@ -946,6 +911,8 @@ def Z_n_closed(n: int, s: complex) -> complex:
     branch = A_j(j, s)
     z1 = riemann_zeta(s)
     z2 = _guard(riemann_zeta(2 * s), "zeta(2s)")
+    points = 2 * math.prod(p - 1 for p, _ in factors)  # phi(4n): (-n/.) is nonzero
+    _check_block(s, points, f"Z_n_closed at n = {n}")
     lval = L_removed_23(character_eta(n), s)
     x2 = _px(2, s)
     return z1 / z2 * branch * lval / _guard(1 - x2, "1 - 2^-s")
@@ -966,9 +933,12 @@ def completed_Lambda(n: int, s: complex) -> complex:
     Lambda(s), which the functional-equation suite checks.  The raw
     mod-12n table cannot be used here: it is imprimitive, and a
     completed L built on the modulus 12n is not self-dual.  The
-    primitive character is built once per n and reused across s.
+    primitive character is built once per n and reused across s, and
+    not at all when its Hurwitz block would pass the limit (ValueError).
     """
-    s = complex(s)
+    points = _psi_n_points(n)
+    s = _finite(complex(s))
+    _check_block(s, points, f"completed_Lambda at n = {n}")
     prim = _primitive_psi(n)
     f = prim.modulus
     front = _px(math.pi / f, (s + 1) / 2)

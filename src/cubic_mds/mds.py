@@ -63,6 +63,11 @@ class TruncationSpec:
             raise ValueError("TruncationSpec tolerance must be positive")
 
 
+def rel_err(a: complex, b: complex) -> float:
+    """|a - b| over the larger of |a| and |b|, or over 1e-300 when both are 0."""
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
 @dataclass(frozen=True)
 class SeriesComparison:
     """Two truncated evaluations of one quantity, with their distance."""
@@ -79,9 +84,8 @@ class SeriesComparison:
     ) -> "SeriesComparison":
         lhs = complex(lhs)
         rhs = complex(rhs)
-        abs_err = abs(lhs - rhs)
-        rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-        return cls(lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err, spec=spec)
+        return cls(lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs),
+                   rel_err=rel_err(lhs, rhs), spec=spec)
 
     @property
     def passed(self) -> bool:

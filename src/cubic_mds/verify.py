@@ -207,7 +207,7 @@ def criterion_local_factors() -> tuple[bool, str]:
         for n in range(1, 401):
             closed = local_factor_closed(p, n, 2.0)
             oracle = local_factor_oracle(p, n, 2.0, K=60)
-            rel = abs(closed - oracle) / max(abs(closed), abs(oracle), 1e-300)
+            rel = mds.rel_err(closed, oracle)
             if rel > worst:
                 worst = rel
                 worst_at = f"(p={p}, n={n})"
@@ -239,7 +239,7 @@ def criterion_zn_closed() -> tuple[bool, str]:
             if closed != 0 or oracle != 0:
                 zero_bad += 1
             continue
-        rel = abs(closed - oracle) / max(abs(closed), abs(oracle), 1e-300)
+        rel = mds.rel_err(closed, oracle)
         if rel > worst:
             worst = rel
             worst_at = f"n={n}"
@@ -383,7 +383,7 @@ def criterion_squarefree_l_identity() -> tuple[bool, str]:
             for b, lb in zip(bs, lbs):
                 lhs = l2 * lb
                 rhs = l1 * lb_finite_product(psi, b, w)
-                rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+                rel = mds.rel_err(lhs, rhs)
                 combos += 1
                 if rel > worst:
                     worst = rel

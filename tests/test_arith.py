@@ -50,6 +50,22 @@ def test_factorize_large_semiprime():
     p, q = 1000003, 1000033
     fac = arith.factorize(p * q)
     assert fac.factors == ((p, 1), (q, 1))
+    # No factor up to 37: settled by Miller-Rabin and rho alone.
+    assert arith.factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+    assert arith.factorize(q * q).factors == ((q, 2),)
+    assert arith.factorize(41 * 41 * 43).factors == ((41, 2), (43, 1))
+
+
+def test_factorize_matches_spf_to_200k():
+    limit = 200_000
+    spf = arith.spf_list(limit)
+    for n in range(1, limit + 1):
+        want: dict[int, int] = {}
+        m = n
+        while m > 1:
+            want[spf[m]] = want.get(spf[m], 0) + 1
+            m //= spf[m]
+        assert arith.factorize(n).factors == tuple(sorted(want.items())), n
 
 
 def test_valuation():

@@ -233,6 +233,8 @@ def test_exit_code_on_malformed_input(capsys):
     assert cli.main(["lfun", "--char", "eta:-5", "--s", "nan"]) == 2
     assert cli.main(["lfun", "--char", "eta:-25001", "--s", "2"]) == 2
     assert cli.main(["lfun", "--char", "psi:8335", "--s", "2"]) == 2
+    assert cli.main(["zn", "10000019", "--s", "2"]) == 2
+    assert cli.main(["fe", "1000003", "--grid", "0.3"]) == 2
     assert cli.main(["verify", "nope"]) == 2
     assert cli.main(["verify", "11"]) == 2
     assert cli.main(["count", "45"]) == 2  # argparse usage error

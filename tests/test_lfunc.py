@@ -139,6 +139,33 @@ def test_hurwitz_refuses_large_blocks_before_allocating(monkeypatch):
     assert cmath.isfinite(Z_n_closed(5, 2.5 + 50j))
 
 
+def test_slice_values_refuse_large_n_before_building_tables(monkeypatch):
+    # At s = 2 and s = 0.3 a block has 30 rows, so 2^24 entries allow
+    # 559,240 points: phi(4n) = 2 phi(n) for Z_n, and phi(f) for the
+    # conductor f of psi_n (4n when n = 1 mod 4, n when n = 3 mod 4).
+    class Reached(Exception):
+        pass
+
+    def sentinel(n):
+        raise Reached(n)
+
+    monkeypatch.setattr(lfunc, "character_eta", sentinel)
+    monkeypatch.setattr(lfunc, "psi_n_character", sentinel)
+    lfunc._primitive_psi.cache_clear()
+    cases = [  # (function, s, largest prime inside, least prime past)
+        (Z_n_closed, 2.0, 279593, 279641),  # primes = 2 mod 3
+        (completed_Lambda, 0.3, 559231, 559243),  # primes = 3 mod 4
+        (completed_Lambda, 0.3, 279613, 279637),  # primes = 1 mod 4
+    ]
+    for fn, s, inside, past in cases:
+        with pytest.raises(Reached):
+            fn(inside, s)
+        with pytest.raises(ValueError, match=f"at n = {past} needs"):
+            fn(past, s)
+    with pytest.raises(ValueError, match="at n = 10000019 needs"):
+        Z_n_closed(10000019, 2.0)
+
+
 def test_hurwitz_memo_is_small_read_only_and_exact():
     # Every character mod 15 shares one set of units, so criterion 8's
     # pattern asks for the same block again and again.
