@@ -36,15 +36,10 @@ if _launched_as_cli():
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
-from .arith import PrimeFactorization, factorize, is_squarefree, kronecker
+from .arith import factorize, is_squarefree, kronecker
 from .errors import OracleScaleError, PoleError
 from .euler import local_factor_closed, local_factor_oracle
-from .forms import (
-    BinaryCubicForm,
-    enumerate_representatives,
-    invariants,
-    is_positive_definite,
-)
+from .forms import BinaryCubicForm, enumerate_representatives, invariants
 from .lfunc import (
     DirichletCharacter,
     LSeriesValue,
@@ -88,7 +83,6 @@ from .verify import CriterionResult, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimeFactorization",
     "factorize",
     "is_squarefree",
     "kronecker",
@@ -99,7 +93,6 @@ __all__ = [
     "BinaryCubicForm",
     "enumerate_representatives",
     "invariants",
-    "is_positive_definite",
     "DirichletCharacter",
     "LSeriesValue",
     "A_j",

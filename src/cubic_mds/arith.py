@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,22 +108,11 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """n = prod p^e over `factors`, ordered by ascending prime."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, e) with p^e || n, by ascending p, for 1 <= n <= 2^63 - 1.
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def reconstruct(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
-
-
-def factorize(n: int) -> PrimeFactorization:
-    """Full factorization of 1 <= n <= 2^63 - 1 (empty list for n = 1)."""
+    n is the product of p^e over the pairs; n = 1 gives the empty tuple.
+    """
     if not 1 <= n <= _MAX_FACTOR_INPUT:
         raise ValueError(f"factorize requires 1 <= n <= 2^63-1, got {n}")
     found: dict[int, int] = {}
@@ -147,8 +135,7 @@ def factorize(n: int) -> PrimeFactorization:
             g = _brent_rho(t)
             stack.append(g)
             stack.append(t // g)
-    items = tuple(sorted(found.items()))
-    return PrimeFactorization(n=n, factors=items)
+    return tuple(sorted(found.items()))
 
 
 def valuation(n: int, p: int) -> int:
@@ -165,7 +152,7 @@ def valuation(n: int, p: int) -> int:
 def mobius(n: int) -> int:
     """Moebius function mu(n) for 1 <= n <= 2^63 - 1, from `factorize`."""
     mu = 1
-    for _p, e in factorize(n).factors:
+    for _p, e in factorize(n):
         if e > 1:
             return 0
         mu = -mu
@@ -258,7 +245,7 @@ def is_squarefree(n: int) -> bool:
         raise ValueError(f"is_squarefree requires n >= 1, got {n}")
     if n % 4 == 0 or n % 9 == 0 or n % 25 == 0:
         return False
-    return all(e == 1 for _, e in factorize(n).factors)
+    return all(e == 1 for _, e in factorize(n))
 
 
 # ======================================================================

@@ -63,16 +63,6 @@ def invariants(f: BinaryCubicForm) -> InvariantTuple:
     return InvariantTuple(r1=a, r2=r2, r3=r3, r4=r4)
 
 
-def is_positive_definite(f: BinaryCubicForm) -> bool:
-    """Positive definiteness in the Hessian sense: a > 0 and r2 < 0.
-
-    An odd-degree form takes both signs, so this is not positivity of
-    the values; it is the standard convention that the quadratic
-    Hessian covariant is definite and the leading coefficient positive.
-    """
-    return f.a > 0 and invariants(f).r2 < 0
-
-
 def gamma_shift(f: BinaryCubicForm, k: int) -> BinaryCubicForm:
     """Translation action: the form g with g(x, y) = f(x + k y, y)."""
     a, b, c, d = f.coefficients()

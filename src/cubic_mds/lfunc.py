@@ -263,7 +263,7 @@ def hurwitz_zeta(s: complex, x: float) -> complex:
 def _unit_mask(q: int) -> np.ndarray:
     """Read-only boolean array over 0..q-1, True on the units mod q."""
     mask = np.ones(q, dtype=bool)
-    for p, _ in arith.factorize(q).factors:
+    for p, _ in arith.factorize(q):
         mask[::p] = False
     mask.setflags(write=False)
     return mask
@@ -272,7 +272,7 @@ def _unit_mask(q: int) -> np.ndarray:
 def _divisors(q: int) -> list[int]:
     """The divisors of q in ascending order."""
     divs = [1]
-    for p, e in arith.factorize(q).factors:
+    for p, e in arith.factorize(q):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -288,7 +288,7 @@ def jacobi_table(k: int) -> np.ndarray:
     if k < 1 or k % 2 == 0:
         raise ValueError(f"jacobi_table requires odd k >= 1, got {k}")
     table = np.ones(k, dtype=np.int8)
-    for p, e in arith.factorize(k).factors:
+    for p, e in arith.factorize(k):
         legendre = np.full(p, -1, dtype=np.int8)
         legendre[0] = 0
         half = np.arange(1, (p + 1) // 2, dtype=np.int64)
@@ -344,11 +344,11 @@ class DirichletCharacter:
     when every value is -1, 0 or 1 (the real characters), complex128
     otherwise.  It is the only stored form: equality and `__call__` read
     it, and `values` derives a tuple of Python scalars from it on each
-    access.  Entries are exactly zero on residues sharing a factor with
-    q.  parity is 0 when chi(-1) = 1, 1 when chi(-1) = -1.
-    Principality and the conductor (minimal inducing modulus) are
-    computed on first access and cached; construction itself stays
-    cheap so bulk sweeps can build thousands of tables.
+    access.  The table must be nonzero exactly on the units mod q
+    (ValueError otherwise).  parity is 0 when chi(-1) = 1, 1 when
+    chi(-1) = -1.  Principality and the conductor (minimal inducing
+    modulus) are computed on first access and cached; construction
+    itself stays cheap so bulk sweeps can build thousands of tables.
     """
 
     __slots__ = ("modulus", "table", "parity", "is_real", "_conductor", "_principal")
@@ -371,6 +371,10 @@ class DirichletCharacter:
             if unit_range:
                 table = table.real
         table = table.astype(np.int8 if unit_range else complex)
+        if not np.array_equal(table != 0, _unit_mask(modulus)):
+            raise ValueError(
+                f"values table must be nonzero exactly on the units mod {modulus}"
+            )
         table.setflags(write=False)
         self.modulus = modulus
         self.table = table
@@ -450,7 +454,9 @@ def character_from_symbol(top: int, modulus: int) -> DirichletCharacter:
     The units are filled at once by reciprocity (`_kronecker_column`);
     entries off the units are zero.  When the odd part of top exceeds
     the modulus its Jacobi table would outgrow the character's, and
-    the units are filled by the scalar symbol instead.
+    the units are filled by the scalar symbol instead.  ValueError when
+    the symbol vanishes at a unit, as (3/m) does at m = 3 mod 5: that
+    table is no character.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
@@ -485,7 +491,7 @@ _CHI4_UNITS6 = np.array([0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1], dtype=np.int8)
 def _psi_n_points(n: int) -> int:
     """phi(f) for the conductor f of psi_n: where its primitive part is
     nonzero.  ValueError unless n is odd, squarefree and coprime to 3."""
-    factors = arith.factorize(n).factors if n >= 1 else ()
+    factors = arith.factorize(n) if n >= 1 else ()
     if n < 1 or n % 6 not in (1, 5) or any(e > 1 for _, e in factors):
         raise ValueError(f"psi_n requires odd squarefree n coprime to 3, got {n}")
     return math.prod(p - 1 for p, _ in factors) * (2 if n % 4 == 1 else 1)
@@ -515,7 +521,8 @@ def psi_n_character(n: int) -> DirichletCharacter:
 _UNITS_MOD24 = (1, 5, 7, 11, 13, 17, 19, 23)
 
 
-def characters_mod24() -> list[DirichletCharacter]:
+@functools.cache
+def characters_mod24() -> tuple[DirichletCharacter, ...]:
     """All 8 characters of (Z/24)^x, indexed by sign pattern.
 
     The group is (Z/2)^3 on the generators 5, 7, 13.  Index j in 0..7
@@ -523,11 +530,6 @@ def characters_mod24() -> list[DirichletCharacter]:
     sign at 13 (set bit = value -1); index 0 is the principal character.
     The eight tables are built once and shared by every call.
     """
-    return list(_characters_mod24())
-
-
-@functools.cache
-def _characters_mod24() -> tuple[DirichletCharacter, ...]:
     out = []
     for j in range(8):
         vals = [0] * 24
@@ -564,7 +566,7 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
 def _primitive_root(P: int, p: int) -> int:
     """The least generator of the cyclic group (Z/P)^x, P = p^e with p odd."""
     phi = P // p * (p - 1)
-    divs = [r for r, _ in arith.factorize(phi).factors]
+    divs = [r for r, _ in arith.factorize(phi)]
     return next(g for g in range(2, P)
                 if g % p and all(pow(g, phi // r, P) != 1 for r in divs))
 
@@ -592,7 +594,7 @@ def all_characters_mod(q: int) -> list[DirichletCharacter]:
         return [principal_character(1)]
     # components: (prime power P, dlog list over residues mod P, cyclic order)
     comps: list[tuple[int, list[int], int]] = []
-    for p, e in arith.factorize(q).factors:
+    for p, e in arith.factorize(q):
         P = p**e
         if p > 2:
             order = P // p * (p - 1)
@@ -822,7 +824,7 @@ def lb_finite_product(psi: DirichletCharacter, b: int, w: complex) -> complex:
     """
     w = complex(w)
     out = 1 + 0j
-    for p, _ in arith.factorize(b).factors:
+    for p, _ in arith.factorize(b):
         factor = 1 + complex(psi(p)) * _px(p, w)
         out /= _guard(factor, f"1 + psi(p) p^-w at p={p}")
     return out
@@ -876,7 +878,7 @@ def a_n(n: int, s: complex) -> complex:
     if gcd(n, 24) != 1:
         raise ValueError(f"a_n requires gcd(n, 24) = 1, got n = {n}")
     s = complex(s)
-    tables = [chi.table.tolist() for chi in _characters_mod24()]
+    tables = [chi.table.tolist() for chi in characters_mod24()]
     total = 0j
     for j in _UNITS_MOD24:
         aj = A_j(j, s)
@@ -901,7 +903,7 @@ def Z_n_closed(n: int, s: complex) -> complex:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"Z_n_closed requires odd positive n, got {n}")
-    factors = arith.factorize(n).factors
+    factors = arith.factorize(n)
     if any(e > 1 for _, e in factors):
         raise ValueError(f"Z_n_closed requires squarefree n, got {n}")
     s = _finite(complex(s))

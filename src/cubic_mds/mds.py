@@ -23,17 +23,15 @@ from .arith import _finite, _px
 from .errors import PoleError
 from .euler import _local_factor, _unit_factor
 from .lfunc import (
+    _UNITS_MOD24,
     DirichletCharacter,
     A_j,
     L_removed_23,
     character_eta,
-    complex_gamma,
     completed_Lambda,
     characters_mod24,
     dirichlet_L,
     jacobi_table,
-    primitive_part,
-    psi_n_character,
     riemann_zeta,
 )
 
@@ -262,19 +260,9 @@ def Z_n_euler_product(n: int, s: complex, prime_cutoff: int) -> complex:
 
 # Inner L-values are shared across the 8 twists and across repeated
 # verification calls at one s; the key is (n, s).
-_L23_CACHE: dict[tuple[int, complex], complex] = {}
-_L23_CACHE_LIMIT = 65536
-
-
+@functools.lru_cache(maxsize=65536)
 def _L23_eta(n: int, s: complex) -> complex:
-    key = (n, complex(s))
-    val = _L23_CACHE.get(key)
-    if val is None:
-        if len(_L23_CACHE) >= _L23_CACHE_LIMIT:
-            _L23_CACHE.clear()
-        val = L_removed_23(character_eta(n), s)
-        _L23_CACHE[key] = val
-    return val
+    return L_removed_23(character_eta(n), s)
 
 
 def Z_star(
@@ -339,7 +327,7 @@ def residue_identity_check(
         twist = chi_vec * jac
         l_inner = complex(twist[1:] @ kinv)
         pref = arith.kronecker(-1, m) * _px(m, s1)
-        for p, _e in arith.factorize(m).factors:
+        for p, _e in arith.factorize(m):
             csq = complex(chi(p)) ** 2
             pref /= 1 - csq * _px(p, 2 * complex(s2))
         terms.append(pref * l_inner)
@@ -392,7 +380,7 @@ def residue_product(
     if compensate_tail and 2 * s1.real + 1 <= 1 + 1e-12:
         raise PoleError("residue product diverges for Re(2 s1 + 1) <= 1")
     front = 1 / 3
-    for p, _e in arith.factorize(chi.conductor).factors:
+    for p, _e in arith.factorize(chi.conductor):
         front *= 1 - 1 / p
     primes = arith.primes_up_to(prime_cutoff)
     partial = complex(front)
@@ -446,43 +434,6 @@ def functional_equation_check(
     return out
 
 
-def functional_equation_term_check(
-    n: int, s1: complex, s2: complex, tolerance: float = 1e-8
-) -> SeriesComparison:
-    """One n-term of the global reflection, written multiplicatively.
-
-    With chi the primitive twist attached to n, conductor f = f0 * n
-    (f0 is 4 or 1 according to n mod 4), the completed functional
-    equation rearranges to
-
-        L(s1, chi) n^(-s2) = (pi/f0)^(s1 - 1/2)
-                             * Gamma(1 - s1/2) / Gamma((s1 + 1)/2)
-                             * L(1 - s1, chi) n^(-(s1 + s2 - 1/2)),
-
-    which is the term-level form of sending (s1, s2) to
-    (1 - s1, s1 + s2 - 1/2).  Both sides are returned as a comparison;
-    a single constant in place of (pi/f0)^(s1-1/2) cannot work because
-    f0 genuinely depends on n mod 4.
-    """
-    s1 = complex(s1)
-    s2 = complex(s2)
-    prim = primitive_part(psi_n_character(n))
-    f = prim.modulus
-    if f % n:
-        raise ValueError("conductor is not a multiple of n; inadmissible n")
-    f0 = f // n
-    lhs = dirichlet_L(prim, s1).value * _px(n, s2)
-    gamma_ratio = complex_gamma(1 - s1 / 2) / complex_gamma((s1 + 1) / 2)
-    rhs = (
-        cmath.exp((s1 - 0.5) * math.log(math.pi / f0))
-        * gamma_ratio
-        * dirichlet_L(prim, 1 - s1).value
-        * _px(n, s1 + s2 - 0.5)
-    )
-    spec = TruncationSpec(m_cutoff=1, n_cutoff=1, tolerance=tolerance)
-    return SeriesComparison.compare(lhs, rhs, spec)
-
-
 # ======================================================================
 # decomposition of the coprime-to-6 slice
 # ======================================================================
@@ -508,14 +459,12 @@ def decomposition_check(
     s2 = complex(s2)
     lhs = _coefficient_double_sum(s1, s2, spec, coprime_six=True)
 
-    chars = characters_mod24()
-    units = (1, 5, 7, 11, 13, 17, 19, 23)
-    ajs = {j: A_j(j, s1) for j in units}
+    ajs = {j: A_j(j, s1) for j in _UNITS_MOD24}
     total = 0j
-    for chi in chars:
+    for chi in characters_mod24():
         zs = Z_star(chi, s1, s2, spec)
         weight = 0j
-        for j in units:
+        for j in _UNITS_MOD24:
             weight += complex(chi(j)) * ajs[j]
         total += weight * zs
     front = riemann_zeta(s1) / riemann_zeta(2 * s1) / (1 - _px(2, s1))

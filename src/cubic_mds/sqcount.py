@@ -106,7 +106,7 @@ def count_roots(m: int, n: int) -> int:
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     out = 1
-    for p, e in arith.factorize(m).factors:
+    for p, e in arith.factorize(m):
         out *= count_roots_prime_power(p, e, n)
         if out == 0:
             return 0

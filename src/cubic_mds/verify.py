@@ -137,7 +137,7 @@ def criterion_count_oracle() -> tuple[bool, str]:
     for m in range(1, m_max + 1):
         exhaustive = sqcount.count_roots_residue_table(m)[ns % m]
         formula = np.ones(ns.shape, dtype=np.int64)
-        for p, e in arith.factorize(m).factors:
+        for p, e in arith.factorize(m):
             formula *= ppc[p**e][ns % (p**e)]
         bad = formula != exhaustive
         if bad.any():

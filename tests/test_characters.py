@@ -107,7 +107,7 @@ def primitive_part_oracle(values, f: int) -> list:
 
 def _primitive_root_oracle(prime_power: int, p: int) -> int:
     phi = prime_power // p * (p - 1)
-    prime_divs = [q for q, _ in arith.factorize(phi).factors]
+    prime_divs = [q for q, _ in arith.factorize(phi)]
     for g in range(2, prime_power):
         if math.gcd(g, prime_power) != 1:
             continue
@@ -122,7 +122,7 @@ def odometer_characters(q: int) -> list[DirichletCharacter]:
         return [DirichletCharacter(1, (1,))]
     # components: (prime power P, dlog table over (Z/P)^x, cyclic order)
     comps: list[tuple[int, dict[int, int], int]] = []
-    for p, e in arith.factorize(q).factors:
+    for p, e in arith.factorize(q):
         P = p**e
         if p == 2:
             if e == 1:
@@ -240,14 +240,28 @@ def test_fundamental_symbols_match_oracle():
     st.integers(min_value=1, max_value=400),
 )
 def test_character_from_symbol_matches_oracle(top, modulus):
-    # Symbols that are not characters mod `modulus` can fail the
-    # chi(-1) = +-1 check; both routes must then agree on the error.
+    # A symbol that vanishes at a unit is no character mod `modulus`:
+    # the oracle then has a zero on the units, and the table is refused.
     want = symbol_oracle(top, modulus)
-    if modulus > 1 and want[-1] not in (1, -1):
+    if any(v == 0 for m, v in enumerate(want) if math.gcd(m, modulus) == 1):
         with pytest.raises(ValueError):
             character_from_symbol(top, modulus)
         return
     assert list(character_from_symbol(top, modulus).values) == want
+
+
+def test_symbol_that_vanishes_at_a_unit_is_refused():
+    # (3/m) vanishes at the unit 3 mod 5, and (-8/m) at every even unit
+    # mod 23: neither table is a character, and neither is built.
+    with pytest.raises(ValueError):
+        character_from_symbol(3, 5)
+    with pytest.raises(ValueError):
+        character_from_symbol(-8, 23)
+    with pytest.raises(ValueError):
+        DirichletCharacter(5, [0, 1, -1, 0, 1])
+    # Nonzero off the units is refused too.
+    with pytest.raises(ValueError):
+        DirichletCharacter(4, [1, 1, 0, -1])
 
 
 def test_all_characters_mod_matches_odometer():

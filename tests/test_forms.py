@@ -8,6 +8,22 @@ import pytest
 from cubic_mds import forms, sqcount
 from cubic_mds.forms import BinaryCubicForm
 
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property tests are then skipped
+    given = None
+
+
+def in_X_plus(f: BinaryCubicForm) -> bool:
+    """The paper's X+: a > 0 and r2 = b^2 - 3ac < 0.
+
+    An odd-degree form takes both signs, so this is not positivity of
+    the values; it is the convention that the quadratic Hessian
+    covariant is definite and the leading coefficient positive.
+    """
+    return f.a > 0 and forms.invariants(f).r2 < 0
+
+
 # ======================================================================
 # invariants
 # ======================================================================
@@ -84,12 +100,25 @@ def test_invariants_translation_invariant():
         assert forms.invariants(forms.gamma_shift(f, k)) == forms.invariants(f)
 
 
+if given is not None:
+    coefficient = st.integers(-10**6, 10**6)
+
+    @given(f=st.builds(BinaryCubicForm, coefficient, coefficient,
+                       coefficient, coefficient),
+           k=st.integers(-10**4, 10**4))
+    def test_invariants_property(f, k):
+        # r1..r4 are translation invariants and satisfy the syzygy.
+        inv = forms.invariants(f)
+        assert forms.invariants(forms.gamma_shift(f, k)) == inv
+        assert 4 * inv.r2**3 == inv.r3**2 + 27 * inv.r1**2 * inv.r4
+
+
 def test_positive_definite_examples():
-    assert forms.is_positive_definite(BinaryCubicForm(1, 0, 1, 0))
-    assert forms.is_positive_definite(BinaryCubicForm(2, 1, 1, 5))
+    assert in_X_plus(BinaryCubicForm(1, 0, 1, 0))
+    assert in_X_plus(BinaryCubicForm(2, 1, 1, 5))
     # r2 = 9 - 3 > 0: indefinite Hessian.
-    assert not forms.is_positive_definite(BinaryCubicForm(1, 3, 1, 0))
-    assert not forms.is_positive_definite(BinaryCubicForm(-1, 0, -1, 0))
+    assert not in_X_plus(BinaryCubicForm(1, 3, 1, 0))
+    assert not in_X_plus(BinaryCubicForm(-1, 0, -1, 0))
 
 
 # ======================================================================
@@ -173,4 +202,16 @@ def test_enumeration_rows_have_definite_hessian():
     for a, b, c, n in forms.enumerate_representatives(8, 20, True):
         f = BinaryCubicForm(a, b, c, 0)
         assert forms.invariants(f).r2 == -n
-        assert forms.is_positive_definite(f)
+        assert in_X_plus(f)
+
+
+def test_enumeration_yields_reduced_points_of_X_plus():
+    # Every row, with any d, is a form in X+ that `reduce` fixes, so it
+    # is the reduced representative of its translation orbit in X+.
+    rows = list(forms.enumerate_representatives(40, 200, False))
+    assert rows
+    for a, b, c, _n in rows:
+        for d in (-7, 0, 5):
+            f = BinaryCubicForm(a, b, c, d)
+            assert in_X_plus(f)
+            assert forms.reduce(f) == f

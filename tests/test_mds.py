@@ -245,9 +245,3 @@ def test_functional_equation_check_batches():
     comps = mds.functional_equation_check(5, [0.3, 0.75, 0.6 + 2j])
     assert len(comps) == 3
     assert all(c.passed for c in comps)
-
-
-def test_functional_equation_term_level():
-    for n in [1, 5, 7, 11]:
-        c = mds.functional_equation_term_check(n, 0.4 + 1j, 2.0 + 0j)
-        assert c.passed, (n, c.rel_err)
