@@ -6,11 +6,13 @@ one table, a read-only numpy array (`table`: int8 for real characters,
 complex128 otherwise), which the builders fill and the conductor scan,
 primitive part, L-sums, equality and `chi(m)` read without per-entry
 Python; the tuple `values` is derived from it on each access, for
-readers outside the package.  The quadratic tables come from
-`jacobi_table`, the Jacobi symbol as a product of Legendre tables,
-through quadratic reciprocity.  L-functions are evaluated two
-independent ways: a truncated Dirichlet sum, honest only well right of
-the convergence line, and a Hurwitz-zeta route
+readers outside the package.  Every Kronecker-symbol table (psi_n,
+eta_n, the primitive character of Lambda, the mod-24 characters) comes
+from `character_from_symbol`, which fills one period of the symbol by
+reciprocity from `jacobi_table` (the Jacobi symbol as a product of
+Legendre tables) and tiles it to the modulus.  L-functions are
+evaluated two independent ways: a truncated Dirichlet sum, honest only
+well right of the convergence line, and a Hurwitz-zeta route
 
     L(s, chi) = q^(-s) sum_{a=1..q} chi(a) zeta(s, a/q)
 
@@ -25,9 +27,10 @@ rational factor A_j keyed by a residue class mod 24, its character-
 average a_n, and Z_n_closed, which evaluates the full slice series over
 m through a quadratic L-value.  The completed Lambda used by the
 functional-equation checks is built from the primitive character
-underlying psi_n and its true conductor; the raw mod-12n table is
-imprimitive (its conductor is n or 4n, never 12n), and only the
-primitive completion is self-dual under s -> 1-s.
+underlying psi_n, the symbol (-n/.) at its own period, which is its
+true conductor; the raw mod-12n table is imprimitive (its conductor is
+n or 4n, never 12n), and only the primitive completion is self-dual
+under s -> 1-s.
 """
 
 from __future__ import annotations
@@ -299,42 +302,27 @@ def jacobi_table(k: int) -> np.ndarray:
     return table
 
 
-# Bits 1, 3, 5, ... of an int64: set in 2^v exactly when v is odd.
-_ODD_POWERS_OF_TWO = 0x2AAA_AAAA_AAAA_AAAA
+def _symbol_row(top: int, period: int) -> np.ndarray:
+    """int8 array m -> kronecker(top, m) over one period m = 0..P-1, top != 0.
 
+    For top = 1 mod 4, (top/m) = (m/|top|) for every m >= 1.  Otherwise
+    P is even, so the units mod any multiple of P are odd, and even m
+    get 0.  With top = +-2^w t (t odd, t > 0), reciprocity gives for odd m
 
-def _kronecker_column(top: int, m: np.ndarray) -> np.ndarray:
-    """kronecker(top, m) as int8 for an int64 array of m >= 1.
+        (top/m) = (-1/m)^[top < 0] (2/m)^w (m/t) (-1)^((t-1)/2 (m-1)/2)
 
-    With m = 2^v m' (m' odd) and top = +-2^w t (t odd, t > 0),
-
-        (top/m) = (top/2)^v (-1/m')^[top < 0] (2/m')^w (m'/t) (-1)^e
-
-    where e = (t-1)/2 (m'-1)/2 is the reciprocity sign; (-1/m'),
-    (2/m') and that sign depend on m' mod 8 only, and (m'/t) is read
-    from `jacobi_table(t)`.
+    where the sign depends on m mod 8 only.
     """
-    if top == 0:
-        return (m == 1).astype(np.int8)
-    low = m & -m
-    odd = m // low
-    r8 = odd % 8
+    if top % 4 == 1:
+        return jacobi_table(abs(top))
     w = arith.valuation(abs(top), 2)
     t = abs(top) >> w
-    vals = jacobi_table(t)[odd % t]
-    flip = np.zeros(len(m), dtype=bool)
-    if top < 0:
-        flip ^= r8 % 4 == 3
-    if w % 2:
-        flip ^= (r8 == 3) | (r8 == 5)
-    if t % 4 == 3:
-        flip ^= r8 % 4 == 3
-    if top % 2 == 0:
-        vals[low > 1] = 0
-    elif top % 8 in (3, 5):
-        flip ^= (low & _ODD_POWERS_OF_TWO) != 0
-    vals[flip] = -vals[flip]
-    return vals
+    a = int(top < 0) + (t - 1) // 2
+    sign8 = np.zeros(8, dtype=np.int8)
+    for r in (1, 3, 5, 7):
+        sign8[r] = (-1) ** (a * (r // 2) + w * (r * r - 1) // 8)
+    signs = np.tile(sign8, period // 8 + 1)[:period]
+    return signs * np.tile(jacobi_table(t), period // t)
 
 
 class DirichletCharacter:
@@ -351,7 +339,7 @@ class DirichletCharacter:
     itself stays cheap so bulk sweeps can build thousands of tables.
     """
 
-    __slots__ = ("modulus", "table", "parity", "is_real", "_conductor", "_principal")
+    __slots__ = ("modulus", "table", "parity", "_conductor", "_principal")
 
     def __init__(self, modulus: int, values) -> None:
         if modulus < 1:
@@ -388,7 +376,6 @@ class DirichletCharacter:
                 self.parity = 1
             else:
                 raise ValueError(f"chi(-1) = {v} is not +-1")
-        self.is_real = unit_range or bool(np.all(np.abs(table.imag) < 1e-12))
         self._conductor: int | None = None
         self._principal: bool | None = None
 
@@ -411,7 +398,7 @@ class DirichletCharacter:
         return hash((self.modulus, tuple(self.table.tolist())))
 
     def __repr__(self) -> str:
-        kind = "real" if self.is_real else "complex"
+        kind = "real" if self.table.dtype == np.int8 else "complex"
         return f"DirichletCharacter(mod {self.modulus}, {kind})"
 
     def _off_one(self) -> np.ndarray:
@@ -449,43 +436,37 @@ def principal_character(q: int) -> DirichletCharacter:
 
 
 def character_from_symbol(top: int, modulus: int) -> DirichletCharacter:
-    """Table m -> kronecker(top, m) on residues coprime to the modulus.
+    """The character m -> kronecker(top, m) mod `modulus`.
 
-    The units are filled at once by reciprocity (`_kronecker_column`);
-    entries off the units are zero.  When the odd part of top exceeds
-    the modulus its Jacobi table would outgrow the character's, and
-    the units are filled by the scalar symbol instead.  ValueError when
-    the symbol vanishes at a unit, as (3/m) does at m = 3 mod 5: that
-    table is no character.
+    The symbol has period P = |top| when top = 0, 1 mod 4 and 4|top|
+    otherwise.  ValueError unless top != 0 and P divides the modulus;
+    under that contract the table is always a character.  One period is
+    tabulated (`_symbol_row`), tiled to the modulus and zeroed off the
+    units.  psi_n, eta_n, Lambda's primitive character and the mod-24
+    characters all come from here.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    if modulus == 1:
-        return principal_character(1)
-    units = np.flatnonzero(_unit_mask(modulus))
-    vals = np.zeros(modulus, dtype=np.int8)
-    odd_top = abs(top) >> arith.valuation(abs(top), 2) if top else 0
-    if odd_top > modulus:
-        vals[units] = [arith.kronecker(top, m) for m in units.tolist()]
-    else:
-        vals[units] = _kronecker_column(top, units)
-    return DirichletCharacter(modulus, vals)
+    period = abs(top) if top % 4 in (0, 1) else 4 * abs(top)
+    if top == 0 or modulus < 1 or modulus % period:
+        raise ValueError(
+            f"character_from_symbol requires top != 0 and the period {period}"
+            f" of (top/.) to divide the modulus, got ({top}, {modulus})"
+        )
+    row = _symbol_row(top, period)
+    return DirichletCharacter(
+        modulus, np.tile(row, modulus // period) * _unit_mask(modulus)
+    )
 
 
 def character_eta(n: int) -> DirichletCharacter:
     """Quadratic character m -> (-n/m), tabulated mod 4n.
 
-    4n is a defining modulus for the Kronecker symbol of -n on odd
-    arguments; the actual conductor (|disc| of the right quadratic
-    field) divides it and is exposed through `.conductor`.
+    4n is a multiple of the symbol's period (n or 4n); the actual
+    conductor (|disc| of the right quadratic field) divides it and is
+    exposed through `.conductor`.
     """
     if n < 1:
         raise ValueError(f"character_eta requires n >= 1, got {n}")
     return character_from_symbol(-n, 4 * n)
-
-
-# chi_4(m) on the units mod 6, over m = 0..11.
-_CHI4_UNITS6 = np.array([0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1], dtype=np.int8)
 
 
 def _psi_n_points(n: int) -> int:
@@ -500,19 +481,13 @@ def _psi_n_points(n: int) -> int:
 def psi_n_character(n: int) -> DirichletCharacter:
     """The odd real character m -> chi_4(m) (n/m) 1_3(m), mod 12n.
 
-    Requires n odd, squarefree, coprime to 3.  The table is always an
-    odd character (checked), but it is never primitive: its conductor
-    is 4n when n = 1 mod 4 and n when n = 3 mod 4.
-
-    Filled by reciprocity: for odd m, (n/m) = (m/n) chi_4(m) when
-    n = 3 mod 4 and (m/n) when n = 1 mod 4, so the table is
-    `jacobi_table(n)` repeated 12 times, times chi_4 (n = 1 mod 4) or
-    1 (n = 3 mod 4) on the units mod 6, repeated n times.
+    Requires n odd, squarefree, coprime to 3.  On the units mod 12n,
+    chi_4(m) (n/m) = (-n/m), so the table is that symbol's.  It is
+    always an odd character (checked), but never primitive: its
+    conductor is 4n when n = 1 mod 4 and n when n = 3 mod 4.
     """
     _psi_n_points(n)  # checks n
-    window = _CHI4_UNITS6 if n % 4 == 1 else np.abs(_CHI4_UNITS6)
-    vals = np.tile(jacobi_table(n), 12) * np.tile(window, n)
-    chi = DirichletCharacter(12 * n, vals)
+    chi = character_from_symbol(-n, 12 * n)
     if chi.parity != 1:
         raise AssertionError(f"psi_{n} failed the odd-parity check")
     return chi
@@ -528,17 +503,12 @@ def characters_mod24() -> tuple[DirichletCharacter, ...]:
     The group is (Z/2)^3 on the generators 5, 7, 13.  Index j in 0..7
     maps bit 0 to the sign at 5, bit 1 to the sign at 7, bit 2 to the
     sign at 13 (set bit = value -1); index 0 is the principal character.
-    The eight tables are built once and shared by every call.
+    They are the symbols (d/.) for the d | 24 listed in that order.  The
+    eight tables are built once and shared by every call.
     """
-    out = []
-    for j in range(8):
-        vals = [0] * 24
-        # the unit 5^e0 7^e1 13^e2 takes the sign (-1)^(sum of e_i bit_i(j))
-        for e in itertools.product((0, 1), repeat=3):
-            flips = sum(ei * (j >> i & 1) for i, ei in enumerate(e))
-            vals[5 ** e[0] * 7 ** e[1] * 13 ** e[2] % 24] = (-1) ** flips
-        out.append(DirichletCharacter(24, vals))
-    return tuple(out)
+    return tuple(
+        character_from_symbol(d, 24) for d in (1, -3, -4, 12, -24, 8, 24, -8)
+    )
 
 
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
@@ -920,12 +890,6 @@ def Z_n_closed(n: int, s: complex) -> complex:
     return z1 / z2 * branch * lval / _guard(1 - x2, "1 - 2^-s")
 
 
-@functools.lru_cache(maxsize=4)
-def _primitive_psi(n: int) -> DirichletCharacter:
-    """primitive_part(psi_n_character(n)), kept for the last few n."""
-    return primitive_part(psi_n_character(n))
-
-
 def completed_Lambda(n: int, s: complex) -> complex:
     """Completed L-value (pi/f)^(-(s+1)/2) Gamma((s+1)/2) L(s, chi_f).
 
@@ -934,15 +898,15 @@ def completed_Lambda(n: int, s: complex) -> complex:
     conductor the function is exactly self-dual: Lambda(1-s) =
     Lambda(s), which the functional-equation suite checks.  The raw
     mod-12n table cannot be used here: it is imprimitive, and a
-    completed L built on the modulus 12n is not self-dual.  The
-    primitive character is built once per n and reused across s, and
-    not at all when its Hurwitz block would pass the limit (ValueError).
+    completed L built on the modulus 12n is not self-dual.  chi_f is
+    the symbol (-n/.) at its own period, built for each call, and not at
+    all when its Hurwitz block would pass the limit (ValueError).
     """
     points = _psi_n_points(n)
     s = _finite(complex(s))
     _check_block(s, points, f"completed_Lambda at n = {n}")
-    prim = _primitive_psi(n)
-    f = prim.modulus
+    f = n if n % 4 == 3 else 4 * n
+    prim = character_from_symbol(-n, f)
     front = _px(math.pi / f, (s + 1) / 2)
     gam = complex_gamma((s + 1) / 2)
     lval = dirichlet_L(prim, s).value

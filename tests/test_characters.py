@@ -1,12 +1,15 @@
 """Character tables against scalar oracles.
 
-The builders in `lfunc` fill their tables with numpy, by reciprocity
-from `jacobi_table`.  The oracles here are the scalar routes they
-replaced: a multiplicative fill over the smallest-prime-factor sieve
-with one `arith.kronecker` call per prime, the defining formula of
-psi_n one entry at a time, the conductor scan that tests every
-divisor d of q against every unit = 1 mod d with `math.gcd`, and the
-odometer over dict discrete logarithms that listed all characters mod q.
+Every Kronecker-symbol table in `lfunc` comes from
+`character_from_symbol`, which fills one period of the symbol with
+numpy, by reciprocity from `jacobi_table`, and refuses a modulus that
+the period does not divide.  The oracles here are scalar: a
+multiplicative fill over the smallest-prime-factor sieve with one
+`arith.kronecker` call per prime, the defining formula of psi_n one
+entry at a time, the conductor scan that tests every divisor d of q
+against every unit = 1 mod d with `math.gcd`, the odometer over dict
+discrete logarithms that lists all characters mod q, and
+chi(pb) = chi(p) chi(b) over the primes p that generate the units.
 """
 
 import cmath
@@ -197,6 +200,23 @@ def test_jacobi_table_matches_kronecker(k):
     assert table.tolist() == [arith.kronecker(r, k) for r in range(k)]
 
 
+def symbol_period(top: int) -> int:
+    """The period of m -> kronecker(top, m): |top| or 4|top|."""
+    return abs(top) if top % 4 in (0, 1) else 4 * abs(top)
+
+
+def assert_multiplicative(chi: DirichletCharacter) -> None:
+    """chi(pb) = chi(p) chi(b) for every prime p < q not dividing q and
+    every unit b mod q.  Those primes generate the units, so the table
+    is a homomorphism on them."""
+    q = chi.modulus
+    table = chi.table
+    units = np.flatnonzero(table)
+    for p in arith.primes_up_to(q - 1):
+        if q % p:
+            assert np.array_equal(table[p * units % q], table[p] * table[units]), p
+
+
 def test_jacobi_table_prime_powers_and_bad_input():
     for k in (1, 3, 9, 27, 25, 125, 3 * 3 * 5, 7 * 7 * 11 * 11, 3**7):
         assert jacobi_table(k).tolist() == [arith.kronecker(r, k) for r in range(k)]
@@ -231,23 +251,46 @@ def test_fundamental_symbols_match_oracle():
         assert chi.conductor == conductor_oracle(chi.values) == abs(d), d
 
 
-@given(
-    # Small tops take the reciprocity route, large ones the scalar one.
-    st.one_of(
-        st.integers(min_value=-1000, max_value=1000),
-        st.integers(min_value=-10**7, max_value=10**7),
-    ),
-    st.integers(min_value=1, max_value=400),
-)
-def test_character_from_symbol_matches_oracle(top, modulus):
-    # A symbol that vanishes at a unit is no character mod `modulus`:
-    # the oracle then has a zero on the units, and the table is refused.
-    want = symbol_oracle(top, modulus)
-    if any(v == 0 for m, v in enumerate(want) if math.gcd(m, modulus) == 1):
+@st.composite
+def symbol_on_its_period(draw) -> tuple[int, int]:
+    # A modulus P k <= 4000 bounds |top| <= P by 4000 as well.
+    top = draw(
+        st.integers(min_value=-4000, max_value=4000).filter(
+            lambda t: t and symbol_period(t) <= 4000
+        )
+    )
+    k = draw(st.integers(min_value=1, max_value=4000 // symbol_period(top)))
+    return top, symbol_period(top) * k
+
+
+@given(symbol_on_its_period())
+def test_character_from_symbol_matches_oracle(pair):
+    top, modulus = pair
+    chi = character_from_symbol(top, modulus)
+    assert chi.table.dtype == np.int8
+    assert chi.table.tolist() == symbol_oracle(top, modulus)
+    assert_multiplicative(chi)
+
+
+def test_symbol_off_its_period_is_refused():
+    # On the units mod 5, (37/m) and (-1/m) have chi(2) chi(3) = -1 but
+    # chi(6) = chi(1) = 1: no character.  (3/m) has period 12 and (5/m)
+    # period 5, and top = 0 has none.
+    for top, modulus in ((37, 5), (-1, 5), (3, 3), (5, 1), (0, 7)):
         with pytest.raises(ValueError):
             character_from_symbol(top, modulus)
-        return
-    assert list(character_from_symbol(top, modulus).values) == want
+
+
+@given(st.integers(min_value=1, max_value=2000).filter(admissible_n))
+def test_lambda_character_is_primitive_part_of_psi(n):
+    # completed_Lambda builds (-n/.) at its own period f; the conductor
+    # scan of psi_n must reach the same table.
+    f = n if n % 4 == 3 else 4 * n
+    got = character_from_symbol(-n, f)
+    want = primitive_part(psi_n_character(n))
+    assert got.modulus == want.modulus == f
+    assert got.table.dtype == want.table.dtype
+    assert got.table.tobytes() == want.table.tobytes()
 
 
 def test_symbol_that_vanishes_at_a_unit_is_refused():
@@ -312,8 +355,9 @@ def test_all_characters_mod_derived_match_oracle():
     complex_seen = 0
     for q in range(1, 61):
         for chi in all_characters_mod(q):
-            complex_seen += not chi.is_real
-            assert chi.table.dtype == (np.int8 if chi.is_real else complex)
+            complex_seen += chi.table.dtype == complex
+            real = all(abs(complex(v).imag) < 1e-12 for v in chi.values)
+            assert chi.table.dtype == (np.int8 if real else complex)
             _check_derived(chi)
     assert complex_seen > 900
 
@@ -343,7 +387,7 @@ def test_values_tuple_serves_nonzero_count():
     # `len(values) - values.count(0)` counts the points of a table; it
     # must keep working on every builder's output, complex tables too.
     chars = [psi_n_character(35), character_eta(12)] + all_characters_mod(15)
-    assert any(not chi.is_real for chi in chars)
+    assert any(chi.table.dtype == complex for chi in chars)
     for chi in chars:
         nonzero = len(chi.values) - chi.values.count(0)
         assert nonzero == np.count_nonzero(chi.table)

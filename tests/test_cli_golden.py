@@ -20,8 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 # The README examples (without `verify`, and `zeta2` at a smaller
-# --mmax), a complex and a mod-24 character, a complex slice point, and
-# one JSON record.
+# --mmax), a complex and a mod-24 character, a complex slice point, one
+# JSON record, and a quadratic character of each symbol shape: a top
+# with an odd power of 2, -n = 3 mod 4 under psi_n and Lambda, and a
+# mod-24 twist in JSON.
 COMMANDS = [
     ["count", "45", "19"],
     ["euler", "3", "7", "--s", "2,0", "--k", "40"],
@@ -35,6 +37,10 @@ COMMANDS = [
     ["lfun", "--char", "mod24:5", "--s", "2.5"],
     ["zn", "35", "--s", "2.5,1.3"],
     ["--format", "json", "zn", "7", "--s", "2.5"],
+    ["lfun", "--char", "eta:-8", "--s", "2.5"],
+    ["lfun", "--char", "psi:13", "--s", "0.3,2"],
+    ["fe", "13", "--grid", "0.3", "0.5,5"],
+    ["--format", "json", "lfun", "--char", "mod24:6", "--s", "0.5,3"],
 ]
 
 SCRIPT = """

@@ -151,12 +151,11 @@ def test_slice_values_refuse_large_n_before_building_tables(monkeypatch):
     class Reached(Exception):
         pass
 
-    def sentinel(n):
-        raise Reached(n)
+    def sentinel(*args):
+        raise Reached(args)
 
-    monkeypatch.setattr(lfunc, "character_eta", sentinel)
-    monkeypatch.setattr(lfunc, "psi_n_character", sentinel)
-    lfunc._primitive_psi.cache_clear()
+    # Z_n_closed reaches it through character_eta, completed_Lambda directly.
+    monkeypatch.setattr(lfunc, "character_from_symbol", sentinel)
     cases = [  # (function, s, largest prime inside, least prime past)
         (Z_n_closed, 2.0, 279593, 279641),  # primes = 2 mod 3
         (completed_Lambda, 0.3, 559231, 559243),  # primes = 3 mod 4
@@ -229,7 +228,7 @@ def test_characters_mod24_structure():
         assert chi(5) == (-1 if j & 1 else 1)
         assert chi(7) == (-1 if j & 2 else 1)
         assert chi(13) == (-1 if j & 4 else 1)
-        assert chi.is_real
+        assert chi.table.dtype == np.int8
         # real 2-torsion group: chi * chi = principal
         for u in (1, 5, 7, 11, 13, 17, 19, 23):
             assert chi(u) in (1, -1)
