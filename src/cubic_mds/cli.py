@@ -206,6 +206,15 @@ def _cmd_euler(args) -> int:
 def _cmd_zn(args) -> int:
     s = parse_complex(args.s)
     closed = Z_n_closed(args.n, s)
+    if s.real <= 1:
+        # Both truncations diverge here; only the closed form continues.
+        if min(args.cutoff, args.prime_cutoff) < 1:
+            raise ValueError(f"cutoffs must be >= 1, got {args.cutoff}"
+                             f" and {args.prime_cutoff}")
+        print("comparisons skipped: the series and the product need Re(s) > 1",
+              file=sys.stderr)
+        return _report(args, [f"closed  = {_cx(closed)}"],
+                       [{"name": "closed", "re": closed.real, "im": closed.imag}])
     oracle = mds.Z_n_oracle(args.n, s, args.cutoff)
     product = mds.Z_n_euler_product(args.n, s, args.prime_cutoff)
     spec = mds.TruncationSpec(

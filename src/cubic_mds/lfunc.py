@@ -146,13 +146,22 @@ def _expm1_over(u: np.ndarray) -> np.ndarray:
 
 
 # A block holds _em_shift(s) rows, about 1.6 |Im s|, of one column per
-# point, and its temporaries take some 32 bytes an entry.  Past 2^24
-# entries it is refused before anything is allocated; `Z_n_closed` and
+# point.  Its head is summed a few columns at a time (_HEAD_ENTRIES), so
+# the limit bounds the work of a block, not its memory.  Past 2^24
+# entries it is refused before anything is computed; `Z_n_closed` and
 # `completed_Lambda` count their points from n and refuse before they
 # build a table.  A bound on |Im s| alone would refuse the one-point
 # zeta(ke) far up the line that the prime-zeta tail of
 # `mds.residue_product` evaluates.
 _MAX_BLOCK = 2**24
+
+# Entries of the head summed at once.  Each column is a sequential sum
+# down its rows, so splitting the block between columns changes no bit;
+# rows are never split, which would change the order of the sums.  At
+# 2^13 a span's complex terms stay under malloc's default 128 KiB mmap
+# threshold; 2^14 and 2^15 made a fresh process fault in about 30 % and
+# 55 % more pages, as each span's temporaries were mapped and unmapped.
+_HEAD_ENTRIES = 2**13
 
 # Criterion 8 asks for the same block (same s, points and deflation)
 # once per character mod q, since the characters share their units.
@@ -170,6 +179,20 @@ def _check_block(s: complex, points: int, what: str) -> None:
                          f" past the limit of {_MAX_BLOCK} entries")
 
 
+def _column_spans(points: int, rows: int) -> list[tuple[int, int]]:
+    """Spans [lo, hi) of whole columns, about _HEAD_ENTRIES entries each.
+
+    A span has at least two columns unless there is one point: numpy
+    sums a lone column pairwise, not down the rows, which would change
+    its last bits.  So a tall block (rows past the budget) takes two
+    columns at a time, and a single column left over joins the span
+    before it.
+    """
+    width = max(2, _HEAD_ENTRIES // rows)
+    edges = [*range(0, max(points - 1, 1), width), points]
+    return list(zip(edges, edges[1:]))
+
+
 def _hurwitz_block(
     s: complex, xs: np.ndarray, deflate: bool
 ) -> tuple[np.ndarray, float]:
@@ -178,7 +201,9 @@ def _hurwitz_block(
     With deflate=True returns zeta(s, x) - 1/(s-1), finite at s = 1.
     Second result is a per-point error estimate.  The values are a
     read-only array.  ValueError when s is not finite, or when |Im s|
-    makes the block larger than 2^24 entries.
+    makes the block larger than 2^24 entries, a bound on its work: the
+    head is summed in spans of columns, so memory stays near
+    _HEAD_ENTRIES entries plus a few arrays of one entry per point.
     """
     s = _finite(complex(s))
     xs = np.asarray(xs, dtype=float)
@@ -207,10 +232,14 @@ def _hurwitz_sum(
     if not deflate and abs(s - 1) < _POLE_EPS:
         raise PoleError("hurwitz zeta pole at s = 1")
     shift = _em_shift(s)
-    base = np.arange(shift, dtype=float)[:, None] + xs[None, :]
-    head_terms = np.power(base, -s)
-    head = head_terms.sum(axis=0)
-    mass = float(np.max(np.abs(head_terms).sum(axis=0)))
+    ks = np.arange(shift, dtype=float)[:, None]
+    head = np.empty(xs.size, dtype=complex)
+    column_mass = np.empty(xs.size)
+    for lo, hi in _column_spans(xs.size, shift):
+        head_terms = np.power(ks + xs[None, lo:hi], -s)
+        head[lo:hi] = head_terms.sum(axis=0)
+        column_mass[lo:hi] = np.abs(head_terms).sum(axis=0)
+    mass = float(np.max(column_mass))
     w = shift + xs
     logw = np.log(w)
     if deflate:
@@ -252,7 +281,7 @@ def hurwitz_zeta(s: complex, x: float) -> complex:
     the largest intermediate magnitude, phase-amplified; the internal
     estimate tracks it and the tests check both against a
     multiprecision reference.  PoleError at s = 1; ValueError past
-    |Im s| of about 1e7, where the kernel's array limit stops it.
+    |Im s| of about 1e7, where the kernel's block limit stops it.
     """
     values, _ = _hurwitz_block(s, np.array([float(x)]), deflate=False)
     return complex(values[0])

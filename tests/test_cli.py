@@ -100,6 +100,23 @@ def test_zn_command(capsys):
     assert "status: pass" in out
 
 
+def test_zn_left_of_one_reports_the_closed_value_only(capsys, monkeypatch):
+    # Both truncations diverge at Re s <= 1: at 0.5+3i they gave rel_err
+    # 0.988 and 1.357 and a failure on a correct closed value.
+    def diverges(*args):
+        raise AssertionError("truncated route computed at Re s <= 1")
+
+    monkeypatch.setattr(cli.mds, "Z_n_oracle", diverges)
+    monkeypatch.setattr(cli.mds, "Z_n_euler_product", diverges)
+    assert cli.main(["zn", "5609", "--s", "0.5,3"]) == 0
+    captured = capsys.readouterr()
+    closed = lfunc.Z_n_closed(5609, 0.5 + 3j)
+    assert captured.out == f"closed  = {cli._cx(closed)}\nstatus: pass\n"
+    assert captured.err == (
+        "comparisons skipped: the series and the product need Re(s) > 1\n")
+    assert cli.main(["zn", "7", "--s", "1", "--cutoff", "0"]) == 2
+
+
 def test_fe_command(capsys):
     assert cli.main(["fe", "5", "--grid", "0.3", "0.6,2"]) == 0
     out = capsys.readouterr().out.splitlines()

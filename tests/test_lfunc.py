@@ -119,7 +119,7 @@ def test_riemann_zeta_against_mpmath():
 
 def test_hurwitz_refuses_large_blocks_before_allocating(monkeypatch):
     # (-25000/.) has 40,000 residues; at Im s = 5000 its block would have
-    # 8,010 rows of them, gigabytes of temporaries.
+    # 8,010 rows of them, 320 million complex powers.
     chi = character_eta(25000)
 
     def no_block(*args):
@@ -197,6 +197,79 @@ def test_hurwitz_memo_is_small_read_only_and_exact():
     many = np.linspace(0.001, 1.0, lfunc._MEMO_MAX_POINTS + 1)
     lfunc._hurwitz_block(2.5, many, deflate=True)
     assert lfunc._hurwitz_memo.cache_info().currsize == 0
+
+
+def full_block_hurwitz(s: complex, xs: np.ndarray, deflate: bool):
+    """The Hurwitz kernel as it was before its head was summed in spans of
+    columns: the whole rows x points head at once."""
+    shift = lfunc._em_shift(s)
+    base = np.arange(shift, dtype=float)[:, None] + xs[None, :]
+    head_terms = np.power(base, -s)
+    head = head_terms.sum(axis=0)
+    mass = float(np.max(np.abs(head_terms).sum(axis=0)))
+    w = shift + xs
+    logw = np.log(w)
+    if deflate:
+        tail1 = -logw * lfunc._expm1_over((1 - s) * logw)
+    else:
+        tail1 = np.exp((1 - s) * logw) / (s - 1)
+    wms = np.exp(-s * logw)
+    total = head + tail1 + 0.5 * wms
+    mass += float(np.max(np.abs(tail1))) + 0.5 * float(np.max(np.abs(wms)))
+    power = wms / w
+    winv2 = 1.0 / (w * w)
+    rising = s
+    last = 0.0
+    for j, coeff in enumerate(lfunc._EM_COEFF, start=1):
+        term = coeff * rising * power
+        total = total + term
+        last = float(np.max(np.abs(term)))
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+        power = power * winv2
+    amp = abs(s) * max(math.log(shift + 1.0), -math.log(float(xs.min())))
+    rounding = 2.5e-16 * (1.0 + amp) * (mass + shift)
+    return total, 2.0 * last + rounding
+
+
+def test_hurwitz_spans_match_the_full_block_bit_for_bit():
+    # Span widths of 273 (30 rows), 256 (32 rows) and 110 (74 rows)
+    # columns, point counts on both sides of a span edge, and a tall
+    # block whose 9,610 rows alone pass the span budget.
+    cases = []
+    for s in (0.3 + 2j, 0.5 + 14j, -1.5 + 40j):
+        width = lfunc._HEAD_ENTRIES // lfunc._em_shift(s)
+        cases += [(s, n) for k in (1, 2) for n in (width * k - 1, width * k,
+                                                   width * k + 1)]
+    cases += [(0.5 + 6000j, n) for n in (1, 2, 3, 5)]
+    for s, n in cases:
+        xs = np.arange(1, n + 1) / n
+        for deflate in (False, True):
+            got, err = lfunc._hurwitz_sum(s, xs, deflate)
+            want, want_err = full_block_hurwitz(s, xs, deflate)
+            assert got.tobytes() == want.tobytes(), (s, n, deflate)
+            assert err == want_err, (s, n, deflate)
+
+
+def test_column_spans_cover_the_points_and_never_split_one_off():
+    for rows in (30, 74, 4096, 9610):
+        for points in range(1, 12):
+            spans = lfunc._column_spans(points, rows)
+            assert spans[0][0] == 0 and spans[-1][1] == points
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            assert all(hi - lo >= 2 for lo, hi in spans) or points == 1
+
+
+def test_hurwitz_memory_is_bounded_by_the_span_budget():
+    # 200,002 points of 30 rows: the whole head at once peaked near 200 MB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        completed_Lambda(200003, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
 
 
 # ======================================================================
