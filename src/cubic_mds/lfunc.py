@@ -898,7 +898,8 @@ def Z_n_closed(n: int, s: complex) -> complex:
     at 2 compensates the removed factor there: the branch table A_j
     carries the true 2-adic unit contribution, so only the trivial
     (1 - 2^-s)^(-1) from zeta remains to be restored.  Identically zero
-    when n = 1 mod 3.  ValueError when s is not finite, for every n.
+    when n = 1 mod 3, and 0 at s = 1/2, the limit there.  ValueError
+    when s is not finite, for every n.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"Z_n_closed requires odd positive n, got {n}")
@@ -908,6 +909,11 @@ def Z_n_closed(n: int, s: complex) -> complex:
     s = _finite(complex(s))
     j = n % 24
     if j % 3 == 1:
+        return 0j
+    if abs(2 * s - 1) < _POLE_EPS:
+        # 1/zeta(2s) vanishes at s = 1/2, and every other factor is
+        # finite there: the guards 1 + 3^-s, 1 - 3^-2s, 1 + 2^-s and
+        # 1 - 2^-s are nonzero, and L_{2,3} has no pole.
         return 0j
     branch = A_j(j, s)
     z1 = riemann_zeta(s)

@@ -11,9 +11,13 @@ and the closed formula (`count_roots_prime_power` assembled by
 `count_roots`).  Tests pit one against the other.
 
 `coefficient_sieve` gives every coefficient of one n-slice up to a
-cutoff at once, as an int64 numpy array.  It takes its per-prime values
-from `count_roots_prime_power` and does the multiplicative fill with
-strided numpy updates; tests check it against `coefficient`.
+cutoff M at once, as an int64 numpy array.  It calls
+`count_roots_prime_power` once per class of the symbol's period (n when
+n = 3 mod 4, else 4n) and once per exponent level of the primes of 6n,
+and does the multiplicative fill without a loop over multipliers: a
+strided update per prime up to sqrt(M), and one fancy-index update per
+block of whole larger primes, about 2^16 multiples each.  Tests check
+it against `coefficient` and against the multiplier-at-a-time sieve.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from . import arith
 from .errors import OracleScaleError
 
 _BRUTEFORCE_LIMIT = 10**7
+# Index entries per fancy-index update of the sieve's large primes.
+_BLOCK = 2**16
 
 
 # ======================================================================
@@ -134,15 +140,22 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
 
     The fill rests on one fact: a prime p not dividing 6n contributes
     1 + (-n/p), which is 0 or 2, at every exponent.  (-n/p) depends only
-    on p mod 4n, so count_roots_prime_power(p, 1, -n) is called once per
-    residue class that holds a prime <= m_cutoff.  An inert prime zeroes
-    its multiples; a split prime adds 1 to an int8 counter at each
-    multiple, and h <<= counter applies them all.  A prime p dividing 2n,
-    other than 3, gives h its factor C(p^e, -n) at e = v_p(m) by one
-    strided in-place multiply per exponent level: the multiples of p^e
-    are multiplied by C(p^e, -n) / C(p^(e-1), -n), an integer.  The
-    3-part is left out of h and applied last in the same way, at exponent
-    v_3(m) + 1, the 3-exponent of 3m.
+    on p mod n when n = 3 (mod 4), since -n = 1 (mod 4) then, and on
+    p mod 4n otherwise, so count_roots_prime_power(p, 1, -n) is called
+    once per class of that period that holds a prime <= m_cutoff.  An
+    inert prime zeroes its multiples; a split prime adds 1 to an int8
+    counter at each multiple, and h <<= counter applies them all.  A
+    prime up to sqrt(m_cutoff) does so by one strided update.  A larger
+    prime divides each m <= m_cutoff at most once and no m has two, so
+    their multiples k*P are all distinct; they are built as index arrays
+    in blocks of whole primes, about 2^16 indices each, and each block
+    takes one fancy-index update, so no index array is cutoff-sized.
+
+    A prime p dividing 2n, other than 3, gives h its factor C(p^e, -n)
+    at e = v_p(m) by one strided in-place multiply per exponent level:
+    the multiples of p^e are multiplied by C(p^e, -n) / C(p^(e-1), -n),
+    an integer.  The 3-part is left out of h and applied last in the
+    same way, at exponent v_3(m) + 1, the 3-exponent of 3m.
 
     Kernel rule: every symbol here comes from the scalar `arith.kronecker`
     inside count_roots_prime_power, never from `arith.legendre_column`
@@ -159,10 +172,10 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
     split = _generic_counts(n, generic) == 2
 
     h = np.ones(m_cutoff + 1, dtype=np.int64)
-    for idx in _multiples(generic[~split], m_cutoff):
+    for idx in _multiple_sets(generic[~split], m_cutoff):
         h[idx] = 0
     cnt = np.zeros(m_cutoff + 1, dtype=np.int8)
-    for idx in _multiples(generic[split], m_cutoff):
+    for idx in _multiple_sets(generic[split], m_cutoff):
         cnt[idx] += 1
     h <<= cnt
 
@@ -198,32 +211,54 @@ def _residues(a: int, moduli: np.ndarray) -> np.ndarray:
 
 
 def _generic_counts(n: int, primes: np.ndarray) -> np.ndarray:
-    """C(p, -n) for primes p not dividing 6n, one call per class mod 4n."""
-    period = 4 * n
-    # A period past int64 exceeds every prime, which is then its own class.
-    classes = primes % period if period < 2**62 else primes
-    _, first, where = np.unique(classes, return_index=True, return_inverse=True)
-    counts = [count_roots_prime_power(p, 1, -n) for p in primes[first].tolist()]
-    return np.array(counts, dtype=np.int64)[where]
+    """C(p, -n) for ascending primes p not dividing 6n, one call per class
+    of the symbol's period that holds one of them."""
+    if not primes.size:
+        return np.zeros(0, dtype=np.int64)
+    # -n = 1 (mod 4) makes (-n/.) periodic mod n; 4n is always a period.
+    period = n if n % 4 == 3 else 4 * n
+    largest = int(primes[-1])
+    # A period past the largest prime leaves each prime its own class.
+    classes = primes % period if period <= largest else primes
+    # Any prime of a class stands for it, as the count is the class's.
+    rep = np.full(min(period, largest + 1), -1, dtype=np.int64)
+    rep[classes] = np.arange(primes.size)
+    present = np.flatnonzero(rep >= 0)
+    counts = np.zeros(rep.size, dtype=np.int64)
+    counts[present] = [
+        count_roots_prime_power(p, 1, -n) for p in primes[rep[present]].tolist()
+    ]
+    return counts[classes]
 
 
-def _multiples(primes: np.ndarray, limit: int):
+def _multiple_sets(primes: np.ndarray, limit: int):
     """Index sets covering each multiple k*p <= limit of the primes once.
 
-    No set repeats an index, so fancy-index updates through them are
-    exact.  Primes up to sqrt(limit) give one strided slice each; the
-    larger ones are taken a multiplier k at a time, as k * P over the
-    primes P <= limit // k, so the full list of multiples is never built.
+    Primes up to sqrt(limit) give one strided slice each, the larger
+    ones an index array per block of whole primes with about _BLOCK
+    multiples.  No set repeats an index, so fancy-index updates through
+    them are exact: a larger prime divides each m <= limit at most once
+    and no m has two of them.
     """
-    root = math.isqrt(limit)
-    cut = int(np.searchsorted(primes, root, side="right"))
+    cut = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
     for p in primes[:cut].tolist():
         yield slice(p, limit + 1, p)
     large = primes[cut:]
-    if large.size:
-        ks = np.arange(1, limit // (root + 1) + 1)
-        counts = np.searchsorted(large, limit // ks, side="right").tolist()
-        for k, c in enumerate(counts, start=1):
-            if c == 0:
-                break
-            yield k * large[:c]
+    if not large.size:
+        return
+    counts = limit // large
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    a = 0
+    while a < large.size:
+        # As many whole primes as fit in _BLOCK multiples, at least one.
+        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _BLOCK, "right")))
+        c = counts[a:b]
+        # Entry j of the run of all multiples is k * large[i], where
+        # starts[i] <= j < ends[i] and k = j - starts[i] + 1.
+        k = np.arange(starts[a] + 1, ends[b - 1] + 1)
+        k -= np.repeat(starts[a:b], c)
+        idx = np.repeat(large[a:b], c)
+        idx *= k
+        yield idx
+        a = b

@@ -117,6 +117,12 @@ def test_zn_left_of_one_reports_the_closed_value_only(capsys, monkeypatch):
     assert cli.main(["zn", "7", "--s", "1", "--cutoff", "0"]) == 2
 
 
+def test_zn_at_one_half_prints_the_limit_zero(capsys):
+    # Z_n is analytic at s = 1/2, where zeta(2s) has its pole.
+    assert cli.main(["zn", "5", "--s", "0.5"]) == 0
+    assert capsys.readouterr().out == "closed  = 0+0j\nstatus: pass\n"
+
+
 def test_fe_command(capsys):
     assert cli.main(["fe", "5", "--grid", "0.3", "0.6,2"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -577,6 +577,18 @@ def test_Z_n_closed_vs_partial_sum():
         assert abs(got - partial) <= 2e-5 * max(1.0, abs(got)), n
 
 
+def test_Z_n_closed_at_one_half_is_its_limit_zero():
+    # 1/zeta(2s) vanishes at s = 1/2; zeta(2s) itself has its pole there.
+    # One n of each branch of A_j that n odd and prime to 2 reach.
+    for n in (3, 5, 11, 15, 17, 21, 23):
+        assert Z_n_closed(n, 0.5) == 0j, n
+        assert Z_n_closed(n, complex(0.5, -0.0)) == 0j, n
+        for d in (1e-6, 1e-9j, -1e-9 + 1e-9j):
+            assert abs(Z_n_closed(n, 0.5 + d)) < 100 * abs(d), (n, d)
+    with pytest.raises(PoleError):
+        Z_n_closed(5, 1.0)
+
+
 def test_Z_n_closed_rejects_non_finite_s():
     # n = 7 is a zero slice: s is checked before that early return.
     for s in (float("nan"), float("inf"), complex(1.0, float("nan"))):

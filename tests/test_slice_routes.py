@@ -1,15 +1,17 @@
 """The three routes of a slice Z_n against their straightforward forms.
 
 `coefficient_sieve`, `Z_n_oracle` and `Z_n_euler_product` skip work
-that cannot change their values: the per-level valuation gather of the
-sieve, the powers m^(-s) at zero coefficients, and the per-prime
-scalar Kronecker symbols of the product.  The straightforward versions
-are kept below as oracles, and every value must equal theirs bit for
-bit: `repr` for complex values (it tells -0.0 from +0.0), the exception
-and its message where one is raised, `array_equal` and dtype for the
-sieve.
+that cannot change their values: the per-level valuation gather, the
+multiplier-at-a-time updates of the large primes and the sorted symbol
+classes of the sieve, the powers m^(-s) at zero coefficients, and the
+per-prime scalar Kronecker symbols of the product.  The straightforward
+versions are kept below as oracles, and every value must equal theirs
+bit for bit: `repr` for complex values (it tells -0.0 from +0.0), the
+exception and its message where one is raised, `array_equal` and dtype
+for the sieve.
 """
 
+import math
 import random
 
 import numpy as np
@@ -18,30 +20,55 @@ import pytest
 from cubic_mds import arith, mds, sqcount
 from cubic_mds.arith import _finite
 from cubic_mds.euler import _local_factor, local_factor_closed
-from cubic_mds.sqcount import (
-    _generic_counts,
-    _multiples,
-    _residues,
-    count_roots_prime_power,
-)
+from cubic_mds.sqcount import _residues, count_roots_prime_power
 
 # ======================================================================
 # the straightforward routes
 # ======================================================================
 
 
+def plain_generic_counts(n: int, primes: np.ndarray) -> np.ndarray:
+    """C(p, -n) for primes p not dividing 6n, one call per class mod 4n,
+    the classes found by sorting."""
+    period = 4 * n
+    # A period past int64 exceeds every prime, which is then its own class.
+    classes = primes % period if period < 2**62 else primes
+    _, first, where = np.unique(classes, return_index=True, return_inverse=True)
+    counts = [count_roots_prime_power(p, 1, -n) for p in primes[first].tolist()]
+    return np.array(counts, dtype=np.int64)[where]
+
+
+def plain_multiples(primes: np.ndarray, limit: int):
+    """Index sets covering each multiple k*p <= limit of the primes once:
+    a strided slice per prime up to sqrt(limit), then one set k * P over
+    the larger primes P <= limit // k for each multiplier k."""
+    root = math.isqrt(limit)
+    cut = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:cut].tolist():
+        yield slice(p, limit + 1, p)
+    large = primes[cut:]
+    if large.size:
+        ks = np.arange(1, limit // (root + 1) + 1)
+        counts = np.searchsorted(large, limit // ks, side="right").tolist()
+        for k, c in enumerate(counts, start=1):
+            if c == 0:
+                break
+            yield k * large[:c]
+
+
 def plain_coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
-    """The sieve with each prime of 6n applied through an int8 valuation
-    array and a gather of its local counts."""
+    """The sieve with a multiplier at a time for the primes past
+    sqrt(m_cutoff), and each prime of 6n applied through an int8
+    valuation array and a gather of its local counts."""
     primes = arith._prime_array(m_cutoff)
     special = _residues(2 * n, primes) == 0
     generic = primes[~special & (primes != 3)]
-    split = _generic_counts(n, generic) == 2
+    split = plain_generic_counts(n, generic) == 2
     h = np.ones(m_cutoff + 1, dtype=np.int64)
-    for idx in _multiples(generic[~split], m_cutoff):
+    for idx in plain_multiples(generic[~split], m_cutoff):
         h[idx] = 0
     cnt = np.zeros(m_cutoff + 1, dtype=np.int8)
-    for idx in _multiples(generic[split], m_cutoff):
+    for idx in plain_multiples(generic[split], m_cutoff):
         cnt[idx] += 1
     h <<= cnt
     for p in primes[special & (primes != 3)].tolist() + [3]:
@@ -123,25 +150,62 @@ POINTS = (
 )
 
 
+def assert_sieve_is_plain(n: int, m_cutoff: int) -> None:
+    got = sqcount.coefficient_sieve(n, m_cutoff)
+    want = plain_coefficient_sieve(n, m_cutoff)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), (n, m_cutoff)
+
+
 @pytest.mark.parametrize("m_cutoff", CUTOFFS)
 def test_sieve_equals_plain_fill(m_cutoff):
     for n, cutoff in slice_cases(1):
-        if cutoff != m_cutoff:
-            continue
-        want = plain_coefficient_sieve(n, m_cutoff)
-        got = sqcount.coefficient_sieve(n, m_cutoff)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), (n, m_cutoff)
+        if cutoff == m_cutoff:
+            assert_sieve_is_plain(n, m_cutoff)
 
 
 def test_sieve_equals_plain_fill_at_full_length():
     # Deep powers of 2 and 3, and primes of n to a square, at the
     # default cutoff of `cubic-mds zn`.
     for n in (1, 5, 9, 27, 50, 75, 96, 243, 245, 392):
-        assert np.array_equal(
-            sqcount.coefficient_sieve(n, 100_000),
-            plain_coefficient_sieve(n, 100_000),
-        ), n
+        assert_sieve_is_plain(n, 100_000)
+
+
+@pytest.mark.parametrize("p", (313, 317))
+def test_sieve_equals_plain_fill_next_to_a_prime_square(p):
+    # At p^2 - 1 the prime p is past sqrt(m_cutoff) and taken in a block;
+    # at p^2 and p^2 + 1 it takes a strided slice.
+    for m_cutoff in (p * p - 1, p * p, p * p + 1):
+        for n in (1, 5, 7, 29, 35, 96, 391):
+            assert_sieve_is_plain(n, m_cutoff)
+
+
+def test_sieve_equals_plain_fill_on_a_block_edge():
+    # For n = 5 at this cutoff the split primes past sqrt(m_cutoff) have
+    # exactly one block of multiples.
+    n, m_cutoff = 5, 200_453
+    primes = arith._prime_array(m_cutoff)
+    generic = primes[(_residues(2 * n, primes) != 0) & (primes != 3)]
+    split = generic[plain_generic_counts(n, generic) == 2]
+    large = split[split > math.isqrt(m_cutoff)]
+    assert int((m_cutoff // large).sum()) == sqcount._BLOCK
+    assert_sieve_is_plain(n, m_cutoff)
+
+
+def test_sieve_equals_plain_fill_past_a_million():
+    # Six blocks for the split and seven for the inert primes past sqrt(M).
+    for n in (1, 5, 29):
+        assert_sieve_is_plain(n, 1_200_000)
+
+
+@pytest.mark.parametrize("block", (1, 2, 3, 64, 1000))
+def test_sieve_equals_plain_fill_at_any_block_size(monkeypatch, block):
+    # Small blocks put a block edge inside or at the end of nearly every
+    # prime's run of multiples; a block always holds one prime at least.
+    monkeypatch.setattr(sqcount, "_BLOCK", block)
+    for m_cutoff in (96, 97, 1000, 20_000):
+        for n in (1, 5, 7, 29, 96, 391):
+            assert_sieve_is_plain(n, m_cutoff)
 
 
 @pytest.mark.parametrize("s", POINTS, ids=repr)

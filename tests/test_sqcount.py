@@ -2,11 +2,13 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cubic_mds import sqcount
+from cubic_mds import arith, lfunc, sqcount
+from cubic_mds.arith import kronecker
 from cubic_mds.errors import OracleScaleError
 
 try:
@@ -180,3 +182,46 @@ def test_coefficient_sieve_dtype_and_bounds():
     # m <= 5000 the count never exceeds 96.
     assert int(arr.max()) <= 96
     assert int(arr.min()) >= 0
+
+
+def test_coefficient_sieve_memory_stays_bounded():
+    # The result is 9.2 MiB at this cutoff; the multiples of the primes
+    # past sqrt(M), about 790,000 indices, are built in blocks, never all
+    # at once.  The shared prime table is built before tracing starts.
+    arith._prime_array(1_200_000)
+    tracemalloc.start()
+    try:
+        sqcount.coefficient_sieve(5, 1_200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_coefficient_sieve_takes_symbols_from_scalar_kronecker(monkeypatch):
+    # The Euler product's Legendre column and the closed form's Jacobi
+    # table are never read.  One symbol per unit class of the symbol's
+    # period: n for n = 3 (mod 4), 4n otherwise.
+    want = {n: sqcount.coefficient_sieve(n, 100_000) for n in (5, 7, 15, 21)}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the sieve read a symbol table")
+
+    monkeypatch.setattr(arith, "legendre_column", refused)
+    monkeypatch.setattr(lfunc, "jacobi_table", refused)
+    symbols = []
+
+    def counted(a, b):
+        symbols.append((a, b))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(arith, "kronecker", counted)
+    for n, coeffs in want.items():
+        assert np.array_equal(sqcount.coefficient_sieve(n, 100_000), coeffs), n
+        primes = arith._prime_array(100_000)
+        generic = primes[(2 * n % primes != 0) & (primes != 3)]
+        symbols.clear()
+        sqcount._generic_counts(n, generic)
+        period = n if n % 4 == 3 else 4 * n
+        units = sum(math.gcd(r, period) == 1 for r in range(period))
+        assert len(symbols) == units, n
