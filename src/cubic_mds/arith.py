@@ -223,8 +223,7 @@ def legendre_column(a: int, primes: np.ndarray) -> np.ndarray:
     power = np.ones_like(p)
     exp = (p - 1) >> 1
     while exp.any():
-        odd = (exp & 1).astype(bool)
-        power[odd] = power[odd] * base[odd] % p[odd]
+        power = np.where(exp & 1, power * base % p, power)
         base = base * base % p
         exp >>= 1
     out[small] = np.where(power == p - 1, -1, power)

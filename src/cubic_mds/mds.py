@@ -14,6 +14,7 @@ import cmath
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,13 +142,9 @@ def _inverse_powers(count: int, s: complex) -> np.ndarray:
 # ======================================================================
 
 
-def Z_direct(
-    s1: complex,
-    s2: complex,
-    spec: TruncationSpec,
-    require_odd_squarefree: bool = True,
-) -> complex:
-    """Sum of a^(-s1) (3ac - b^2)^(-s2) over reduced representatives.
+def Z_direct(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
+    """Sum of a^(-s1) (3ac - b^2)^(-s2) over reduced representatives
+    with odd squarefree n = 3ac - b^2.
 
     Terms are generated lexicographically in (a, b, c) and accumulated
     with exact compensated summation, so the value is independent of
@@ -157,7 +154,7 @@ def Z_direct(
     return _fsum([
         _px(a, s1) * _px(n, s2)
         for a, _b, _c, n in forms.enumerate_representatives(
-            spec.m_cutoff, spec.n_cutoff, require_odd_squarefree
+            spec.m_cutoff, spec.n_cutoff
         )
     ])
 
@@ -200,22 +197,43 @@ def Z_n_oracle(n: int, s: complex, m_cutoff: int) -> complex:
     Brute reference for the closed form and the local-factor product;
     meaningful for Re(s) > 1.  ValueError when s is not finite.
 
-    m^(-s) is formed only where the coefficient is nonzero (about a
-    quarter of the m on a slice that does not vanish, none when n = 1
-    mod 3); the other entries stay 0.  The dot product still runs over
-    all M entries, so its summation order is the one a full vector of
-    powers would give, and a zero coefficient adds only a signed zero:
-    the value is the same, bit for bit.
+    A slice with no nonzero coefficient (every n = 1 mod 3) returns 0j
+    at once, the value a dot of zeros gives.  Otherwise m^(-s) is formed
+    only where the coefficient is nonzero (about a quarter of the m) and
+    the other entries stay 0.  The dot product still runs over all M
+    entries, so its summation order is the one a full vector of powers
+    would give, and a zero coefficient adds only a signed zero: the
+    value is the same, bit for bit.  Its two complex operands are work
+    arrays kept per thread for the last cutoff, so a repeated call
+    neither allocates them nor page-faults them in again.
     """
     _finite(s)
     counts = sqcount.coefficient_sieve(n, m_cutoff)[1:]
-    coeffs = np.asarray(counts, dtype=float)
     # flatnonzero scans a boolean mask about twice as fast as the int64
-    # counts, and several times as fast as the float copy.
+    # counts.
     nz = np.flatnonzero(counts != 0)
-    powers = np.zeros(m_cutoff, dtype=complex)
+    if not nz.size:
+        return 0j
+    coeffs, powers = _oracle_work_arrays(m_cutoff)
+    # Exact: a count is at most 3 * m_cutoff, far below 2^53.
+    coeffs[:] = counts
+    powers.fill(0)
     powers[nz] = np.exp(-complex(s) * np.log(nz + 1.0))
     return complex(coeffs @ powers)
+
+
+_oracle_work = threading.local()
+
+
+def _oracle_work_arrays(m_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two complex128 arrays of length m_cutoff; the arrays
+    of an earlier cutoff are dropped."""
+    arrays = getattr(_oracle_work, "arrays", None)
+    if arrays is None or arrays[0].size != m_cutoff:
+        arrays = (np.empty(m_cutoff, dtype=complex),
+                  np.empty(m_cutoff, dtype=complex))
+        _oracle_work.arrays = arrays
+    return arrays
 
 
 @functools.lru_cache(maxsize=2)
@@ -360,27 +378,24 @@ def _prime_zeta_tail(e: complex, primes: list[int]) -> complex:
 
 
 def residue_product(
-    chi: DirichletCharacter,
-    s1: complex,
-    prime_cutoff: int,
-    compensate_tail: bool = True,
+    chi: DirichletCharacter, s1: complex, prime_cutoff: int
 ) -> complex:
     """Residue constant: (1/3) conductor factor times the p >= 5 product.
 
     Each factor is
         (1 - chi^2(p)/p^2 + chi^2(p)/p^(2 s1 + 2) - 1/p^(2 s1 + 1))
         / (1 - chi^2(p)/p^2),
-    multiplied over 5 <= p <= prime_cutoff in ascending order.  With
-    compensate_tail the analytically summed log of the dropped p >
-    prime_cutoff factors is added back (prime-zeta expansion), which is
-    what makes successive cutoffs agree to ~1e-12 instead of the raw
-    ~1/(P log P) drift.  The product diverges when Re(2 s1 + 1) <= 1;
+    multiplied over 5 <= p <= prime_cutoff in ascending order.  The
+    analytically summed log of the dropped p > prime_cutoff factors is
+    then added back (prime-zeta expansion), which is what makes
+    successive cutoffs agree to ~1e-12 instead of the raw ~1/(P log P)
+    drift.  The product diverges when Re(2 s1 + 1) <= 1;
     that configuration raises PoleError rather than returning noise.
     """
     if chi.modulus != 24:
         raise ValueError("residue product expects a character of modulus 24")
     s1 = complex(s1)
-    if compensate_tail and 2 * s1.real + 1 <= 1 + 1e-12:
+    if 2 * s1.real + 1 <= 1 + 1e-12:
         raise PoleError("residue product diverges for Re(2 s1 + 1) <= 1")
     front = 1 / 3
     for p, _e in arith.factorize(chi.conductor):
@@ -395,8 +410,6 @@ def residue_product(
         num = 1 - csq * inv2 + csq * _px(p, 2 * s1 + 2) - _px(p, 2 * s1 + 1)
         den = 1 - csq * inv2
         partial *= num / den
-    if not compensate_tail:
-        return partial
     # log factor = log(1 - w) with w = p^-(2s1+1) / (1 + 1/p); expand in
     # powers of p^-1 and sum each exponent over p > cutoff exactly.
     exponent_cap = 16.0

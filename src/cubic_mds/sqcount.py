@@ -16,8 +16,12 @@ cutoff M at once, as an int64 numpy array.  It calls
 n = 3 mod 4, else 4n) and once per exponent level of the primes of 6n,
 and does the multiplicative fill without a loop over multipliers: a
 strided update per prime up to sqrt(M), and one fancy-index update per
-block of whole larger primes, about 2^16 multiples each.  Tests check
-it against `coefficient` and against the multiplier-at-a-time sieve.
+block of whole larger primes, about 2^16 multiples each.  A vanishing
+slice (n = 1 mod 3, where C(3, -n) = 0 divides every coefficient) skips
+all of that and returns the zero array at once; `mds.Z_n_oracle` then
+skips its dot product too, and on other slices it reuses two work
+arrays per thread in place of fresh ones.  Tests check the sieve
+against `coefficient` and against the multiplier-at-a-time sieve.
 """
 
 from __future__ import annotations
@@ -138,6 +142,11 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
     observed maximum: C(3m, -n) counts residues mod 3m, so it is at most
     3m <= 3*m_cutoff, and every partial product below is a factor of it.
 
+    A vanishing slice returns the zero array at once: every coefficient
+    carries the 3-part C(3^(v+1), -n), which for 3 not dividing n is
+    1 + (-n/3) at every level, so C(3, -n) = 0 (n = 1 mod 3) zeroes
+    them all.
+
     The fill rests on one fact: a prime p not dividing 6n contributes
     1 + (-n/p), which is 0 or 2, at every exponent.  (-n/p) depends only
     on p mod n when n = 3 (mod 4), since -n = 1 (mod 4) then, and on
@@ -166,6 +175,9 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
         raise ValueError(
             f"coefficient_sieve requires n, m_cutoff >= 1, got ({n}, {m_cutoff})"
         )
+    three = count_roots_prime_power(3, 1, -n)
+    if three == 0:
+        return np.zeros(m_cutoff + 1, dtype=np.int64)
     primes = arith._prime_array(m_cutoff)
     special = _residues(2 * n, primes) == 0
     generic = primes[~special & (primes != 3)]
@@ -181,7 +193,8 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
 
     for p in primes[special & (primes != 3)].tolist() + [3]:
         shift = 1 if p == 3 else 0
-        last = count_roots_prime_power(p, shift, -n)
+        # The count at exponent `shift`: C(p^0, -n) = 1, or C(3, -n).
+        last = three if p == 3 else 1
         if last != 1:
             h *= last
         q = p

@@ -6,7 +6,8 @@ import math
 import mpmath
 import pytest
 
-from cubic_mds import arith, euler, mds, sqcount
+from cubic_mds import arith, euler, forms, mds, sqcount
+from cubic_mds.arith import _px
 from cubic_mds.errors import PoleError
 from cubic_mds.lfunc import characters_mod24, principal_character
 
@@ -82,11 +83,19 @@ def test_single_cell_value():
     assert abs(got - 3.0**-2.0) < 1e-15
 
 
-def test_direct_route_flag_off_includes_even_n():
+def test_direct_route_keeps_only_odd_squarefree_n():
+    # The unfiltered enumeration also yields even and square-divisible n;
+    # Z_direct is the sum over its odd squarefree part alone.
     spec = mds.TruncationSpec(m_cutoff=6, n_cutoff=12, tolerance=1e-13)
-    with_filter = mds.Z_direct(2.0, 2.0, spec, require_odd_squarefree=True)
-    without = mds.Z_direct(2.0, 2.0, spec, require_odd_squarefree=False)
-    assert without.real > with_filter.real
+    rows = list(forms.enumerate_representatives(6, 12, require_odd_squarefree=False))
+
+    def direct_sum(keep):
+        return mds._fsum([_px(a, 2.0) * _px(n, 2.0) for a, _b, _c, n in rows
+                          if keep(n)])
+
+    with_filter = mds.Z_direct(2.0, 2.0, spec)
+    assert with_filter == direct_sum(lambda n: n % 2 and arith.is_squarefree(n))
+    assert direct_sum(lambda n: True).real > with_filter.real
 
 
 def test_zn_oracle_matches_sieve_sum():
@@ -208,19 +217,49 @@ def test_residue_identity_nontrivial_even_character():
     assert c.passed, c.rel_err
 
 
+def plain_residue_product(chi, s1, prime_cutoff: int) -> complex:
+    """The residue product without its tail: the constant front times
+    the factors at 5 <= p <= prime_cutoff, in ascending order."""
+    s1 = complex(s1)
+    front = 1 / 3
+    for p, _e in arith.factorize(chi.conductor):
+        front *= 1 - 1 / p
+    partial = complex(front)
+    for p in arith.primes_up_to(prime_cutoff):
+        if p in (2, 3):
+            continue
+        csq = complex(chi(p)) ** 2
+        inv2 = 1.0 / (p * p)
+        num = 1 - csq * inv2 + csq * _px(p, 2 * s1 + 2) - _px(p, 2 * s1 + 1)
+        den = 1 - csq * inv2
+        partial *= num / den
+    return partial
+
+
 def test_residue_product_small_prime_cutoff_exact():
     # No primes >= 5 below the cutoff: only the constant front remains,
     # (1/3) for the trivial character (conductor 1).
     chi = characters_mod24()[0]
-    got = mds.residue_product(chi, 0.5, 4, compensate_tail=False)
+    got = plain_residue_product(chi, 0.5, 4)
     assert abs(got - 1.0 / 3.0) < 1e-15
+
+
+def test_residue_product_head_is_the_plain_product(monkeypatch):
+    # With every prime-zeta tail read as 0 the added log is 0, and what
+    # is left is the product over the primes up to the cutoff.
+    monkeypatch.setattr(mds, "_prime_zeta_tail", lambda e, primes: 0j)
+    for chi in characters_mod24()[:4]:
+        for cutoff in (4, 5, 100, 4000):
+            for s1 in (0.5, complex(1.5, 2.0)):
+                want = plain_residue_product(chi, s1, cutoff)
+                assert mds.residue_product(chi, s1, cutoff) == want
 
 
 def test_residue_product_tail_compensation():
     chi = characters_mod24()[0]
     gap_raw = abs(
-        mds.residue_product(chi, 0.5, 8000, compensate_tail=False)
-        - mds.residue_product(chi, 0.5, 4000, compensate_tail=False)
+        plain_residue_product(chi, 0.5, 8000)
+        - plain_residue_product(chi, 0.5, 4000)
     )
     gap_comp = abs(
         mds.residue_product(chi, 0.5, 8000)

@@ -3,16 +3,23 @@
 `coefficient_sieve`, `Z_n_oracle` and `Z_n_euler_product` skip work
 that cannot change their values: the per-level valuation gather, the
 multiplier-at-a-time updates of the large primes and the sorted symbol
-classes of the sieve, the powers m^(-s) at zero coefficients, and the
-per-prime scalar Kronecker symbols of the product.  The straightforward
-versions are kept below as oracles, and every value must equal theirs
-bit for bit: `repr` for complex values (it tells -0.0 from +0.0), the
-exception and its message where one is raised, `array_equal` and dtype
-for the sieve.
+classes of the sieve, and its whole fill on a vanishing slice (n = 1
+mod 3); the powers m^(-s) at zero coefficients, the dot product when
+no coefficient is nonzero, and fresh work arrays on each call of the
+oracle, which keeps two per thread; and the per-prime scalar Kronecker
+symbols of the product.  The straightforward versions are kept below
+as oracles, and every value must equal theirs bit for bit: `repr` for
+complex values (it tells -0.0 from +0.0), the exception and its
+message where one is raised, `array_equal` and dtype for the sieve.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +28,8 @@ from cubic_mds import arith, mds, sqcount
 from cubic_mds.arith import _finite
 from cubic_mds.euler import _local_factor, local_factor_closed
 from cubic_mds.sqcount import _residues, count_roots_prime_power
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # ======================================================================
 # the straightforward routes
@@ -223,6 +232,101 @@ def test_oracle_equals_plain_sum_at_full_length():
             assert repr(mds.Z_n_oracle(n, s, 100_000)) == repr(
                 plain_Z_n_oracle(n, s, 100_000)
             ), (n, s)
+
+
+# n = 1 (mod 3) gives C(3, -n) = 0, so these slices vanish exactly.
+VANISHING = [n for n in range(1, 401, 6) if arith.is_squarefree(n)]
+
+
+@pytest.mark.parametrize("m_cutoff", (1, 2, 3, 1000, 100_000))
+def test_vanishing_slices_equal_plain_routes(m_cutoff):
+    for n in VANISHING:
+        assert_sieve_is_plain(n, m_cutoff)
+        for s in POINTS:
+            assert repr(mds.Z_n_oracle(n, s, m_cutoff)) == repr(
+                plain_Z_n_oracle(n, s, m_cutoff)
+            ), (n, s, m_cutoff)
+
+
+# Mixed classes mod 3, and the cutoff changing every third call, so the
+# work arrays are dropped and made again as well as reused.
+REUSE_CALLS = [
+    (n, s, m_cutoff)
+    for m_cutoff, ns in ((100_000, (5, 7, 15)), (300, (391, 5, 9)),
+                         (100_000, (29, 13, 5)), (300, (2, 35, 11)))
+    for n, s in zip(ns, POINTS)
+]
+
+
+def test_oracle_reusing_its_work_arrays_equals_plain_sum():
+    want = [repr(plain_Z_n_oracle(*call)) for call in REUSE_CALLS]
+    for _ in range(2):
+        assert [repr(mds.Z_n_oracle(*call)) for call in REUSE_CALLS] == want
+    # m^400 overflows to inf at most m of n = 5's support; the next
+    # call must not meet those powers where its own coefficients are 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mds.Z_n_oracle(5, -400.0, 100_000)
+    assert repr(mds.Z_n_oracle(11, 2.5, 100_000)) == repr(
+        plain_Z_n_oracle(11, 2.5, 100_000)
+    )
+
+
+def test_oracle_work_arrays_are_not_shared_across_threads():
+    # More threads than the two cores of a small machine.  Each walks
+    # the calls from its own offset, so the threads sum different slices
+    # at one cutoff at once; a short switch interval makes them
+    # interleave inside the calls.
+    want = [repr(plain_Z_n_oracle(*call)) for call in REUSE_CALLS]
+    k = len(REUSE_CALLS)
+    got = [[] for _ in range(4)]
+
+    def work(t):
+        order = [(t + i) % k for i in range(2 * k)]
+        got[t] = [(i, repr(mds.Z_n_oracle(*REUSE_CALLS[i]))) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for results in got:
+        assert len(results) == 2 * k
+        assert all(value == want[i] for i, value in results)
+
+
+# A fresh interpreter: the heap of a long test session can hold pages
+# mapped by earlier tests, which would hide a call's own faults.
+FAULT_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from cubic_mds import mds
+for _ in range(2):
+    mds.Z_n_oracle(5, 2.5, 100_000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+mds.Z_n_oracle(5, 2.5, 100_000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults are counted as on Linux")
+def test_warm_oracle_call_faults_in_few_pages():
+    # Fresh arrays for the coefficients and powers took about 1,140
+    # minor faults per call at this cutoff; the kept ones take none, and
+    # the sieve's own arrays about 350.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT, str(SRC)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    faults = int(proc.stdout)
+    assert faults <= 600, faults
 
 
 @pytest.mark.parametrize("s", POINTS, ids=repr)
