@@ -29,16 +29,9 @@ from .errors import PoleError
 _MAX_FACTOR_INPUT = 2**63 - 1
 
 # Trial divisors; a number below 41^2 with none of them as a factor is prime.
+# As Miller-Rabin witnesses they prove primality for every n < 3.3e24,
+# comfortably past the 63-bit input contract (Sorenson-Webster bases).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Witnesses proving primality for every n < 3.3e24, comfortably past the
-# 63-bit input contract (Sorenson-Webster bases).
-_MR_WITNESSES = _SMALL_PRIMES
-
-# 3,215,031,751 is the least strong pseudoprime to the bases 2, 3, 5 and
-# 7, so below it those four witnesses decide primality (Jaeschke 1993).
-_MR_SMALL_LIMIT = 3_215_031_751
-_MR_SMALL_WITNESSES = (2, 3, 5, 7)
 
 
 # ======================================================================
@@ -49,7 +42,7 @@ def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for the 63-bit range.
 
     Trial division by the primes up to 37 settles n < 41^2; above that
-    four witnesses serve below 3,215,031,751 and twelve beyond.
+    the same twelve primes are the witnesses.
     """
     if n < 2:
         return False
@@ -63,8 +56,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_LIMIT else _MR_WITNESSES
-    for a in witnesses:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -200,6 +192,14 @@ def kronecker(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
+def _residues(a: int, moduli: np.ndarray) -> np.ndarray:
+    """a mod q for each q of the int64 array moduli, exact for any Python
+    int a: one int64 operation when |a| < 2^62, else one q at a time."""
+    if -(2**62) < a < 2**62:
+        return a % moduli
+    return np.array([a % q for q in moduli.tolist()], dtype=np.int64)
+
+
 # Below 2^31 a residue squared fits in int64, so Euler's criterion is exact.
 _EULER_CRITERION_LIMIT = 2**31
 
@@ -217,9 +217,7 @@ def legendre_column(a: int, primes: np.ndarray) -> np.ndarray:
     out = np.zeros(primes.shape, dtype=np.int64)
     small = (primes > 2) & (primes < _EULER_CRITERION_LIMIT)
     p = primes[small]
-    base = a % p if -(2**62) < a < 2**62 else np.array(
-        [a % q for q in p.tolist()], dtype=np.int64
-    )
+    base = _residues(a, p)
     power = np.ones_like(p)
     exp = (p - 1) >> 1
     while exp.any():

@@ -74,13 +74,22 @@ def parse_complex(text: str) -> complex:
 # takes about a second and under 200 MB, |Im s| <= 50 included.
 _MAX_TABLE = 100_000
 
+# Largest series cutoff of `zn` and `table zn` (criterion 10 sums its
+# slices to 1.2e6): at 2e6 `zn` takes 0.2 s and 128 MB.  Largest prime
+# cutoff of `zn`: at 1e7 it takes 0.9 s and 133 MB.  Largest `zeta2`
+# cutoffs: the form route loops over 1.5 mmax^2 pairs (a, b) and keeps
+# about 0.35 mmax * nmax terms, and at both ceilings takes 15 s and 172 MB.
+_MAX_CUTOFF = 2_000_000
+_MAX_PRIME_CUTOFF = 10_000_000
+_MAX_ZETA2_M, _MAX_ZETA2_N = 4_000, 2_500
 
-def _table_ceiling(form: str, n: int, per_n: int) -> None:
-    if per_n * n > _MAX_TABLE:
-        raise ValueError(
-            f"{form} tabulates {per_n}N entries, at most {_MAX_TABLE}: "
-            f"N must be <= {_MAX_TABLE // per_n}, got {n}"
-        )
+
+def _ceiling(name: str, value: int, top: int) -> None:
+    """ValueError unless 1 <= value <= top."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value > top:
+        raise ValueError(f"{name} must be <= {top}, got {value}")
 
 
 def parse_character(spec: str) -> DirichletCharacter:
@@ -95,7 +104,7 @@ def parse_character(spec: str) -> DirichletCharacter:
         t = int(arg)
         if t >= 0:
             raise ValueError("eta takes a negative top, e.g. eta:-5")
-        _table_ceiling("eta:-N", -t, 4)
+        _ceiling("eta:-N", -t, _MAX_TABLE // 4)
         return character_eta(-t)
     if kind == "mod24":
         j = int(arg)
@@ -104,7 +113,7 @@ def parse_character(spec: str) -> DirichletCharacter:
         return characters_mod24()[j]
     if kind == "psi":
         n = int(arg)
-        _table_ceiling("psi:N", n, 12)
+        _ceiling("psi:N", n, _MAX_TABLE // 12)
         return psi_n_character(n)
     raise ValueError(f"unknown character kind {kind!r}; use eta, mod24, psi")
 
@@ -204,13 +213,12 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_zn(args) -> int:
+    _ceiling("--cutoff", args.cutoff, _MAX_CUTOFF)
+    _ceiling("--prime-cutoff", args.prime_cutoff, _MAX_PRIME_CUTOFF)
     s = parse_complex(args.s)
     closed = Z_n_closed(args.n, s)
     if s.real <= 1:
         # Both truncations diverge here; only the closed form continues.
-        if min(args.cutoff, args.prime_cutoff) < 1:
-            raise ValueError(f"cutoffs must be >= 1, got {args.cutoff}"
-                             f" and {args.prime_cutoff}")
         print("comparisons skipped: the series and the product need Re(s) > 1",
               file=sys.stderr)
         return _report(args, [f"closed  = {_cx(closed)}"],
@@ -268,6 +276,8 @@ def _cmd_lfun(args) -> int:
 
 
 def _cmd_zeta2(args) -> int:
+    _ceiling("--mmax", args.mmax, _MAX_ZETA2_M)
+    _ceiling("--nmax", args.nmax, _MAX_ZETA2_N)
     s1 = parse_complex(args.s1)
     s2 = parse_complex(args.s2)
     spec = mds.TruncationSpec(
@@ -350,6 +360,7 @@ def _zn_row(task) -> tuple:
 
 
 def _cmd_table(args) -> int:
+    _ceiling("--cutoff", args.cutoff, _MAX_CUTOFF)
     s = parse_complex(args.s)
     if args.kind == "zn":
         tasks = [
@@ -427,8 +438,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zn", help="inner series: closed vs sum vs product")
     p.add_argument("n", type=int)
     p.add_argument("--s", required=True)
-    p.add_argument("--cutoff", type=int, default=100000)
-    p.add_argument("--prime-cutoff", type=int, default=10000)
+    p.add_argument("--cutoff", type=int, default=100000,
+                   help=f"series cutoff, 1..{_MAX_CUTOFF}")
+    p.add_argument("--prime-cutoff", type=int, default=10000,
+                   help=f"prime cutoff, 1..{_MAX_PRIME_CUTOFF}")
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(fn=_cmd_zn)
 
@@ -441,8 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta2", help="double series: two routes + decomposition")
     p.add_argument("--s1", required=True)
     p.add_argument("--s2", required=True)
-    p.add_argument("--mmax", type=int, default=300)
-    p.add_argument("--nmax", type=int, default=300)
+    p.add_argument("--mmax", type=int, default=300, help=f"1..{_MAX_ZETA2_M}")
+    p.add_argument("--nmax", type=int, default=300, help=f"1..{_MAX_ZETA2_N}")
     p.set_defaults(fn=_cmd_zeta2)
 
     p = sub.add_parser("fe", help="completed functional equation residuals")
@@ -462,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=30)
     p.add_argument("--mmax", type=int, default=50)
     p.add_argument("--cutoff", type=int, default=100000,
-                   help="series cutoff for zn tables")
+                   help=f"series cutoff for zn tables, 1..{_MAX_CUTOFF}")
     p.set_defaults(fn=_cmd_table)
 
     return parser

@@ -131,12 +131,6 @@ def _fsum(terms: list[complex]) -> complex:
     )
 
 
-def _inverse_powers(count: int, s: complex) -> np.ndarray:
-    """Array [1^(-s), ..., count^(-s)] as complex128."""
-    ks = np.arange(1, count + 1, dtype=float)
-    return np.exp(-complex(s) * np.log(ks))
-
-
 # ======================================================================
 # the double series, two routes
 # ======================================================================
@@ -164,21 +158,17 @@ def _coefficient_double_sum(
 ) -> complex:
     """Sum of C(3m,-n) m^(-s1) n^(-s2), ascending n then ascending m.
 
-    Each n-slice is an independent dot product against one shared
-    vector of inverse powers; slices are folded in ascending n order.
+    Each n-slice is `Z_n_oracle`, so a vanishing one (n = 1 mod 3) adds
+    an exact 0j; slices are folded in ascending n order.
     """
     sqfree = arith.squarefree_mask(spec.n_cutoff)
-    powers = _inverse_powers(spec.m_cutoff, s1)
     terms = []
     for n in range(1, spec.n_cutoff + 1, 2):
         if not sqfree[n]:
             continue
         if coprime_six and n % 3 == 0:
             continue
-        coeffs = np.asarray(
-            sqcount.coefficient_sieve(n, spec.m_cutoff)[1:], dtype=float
-        )
-        terms.append(complex(coeffs @ powers) * _px(n, s2))
+        terms.append(Z_n_oracle(n, s1, spec.m_cutoff) * _px(n, s2))
     return _fsum(terms)
 
 
@@ -186,7 +176,7 @@ def Z_coeff(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
     """Coefficient route: C(3m,-n) m^(-s1) n^(-s2) over odd squarefree n.
 
     Identical term multiset as Z_direct under matched cutoffs, grouped
-    by n instead of by form.
+    by n instead of by form into slices `Z_n_oracle(n, s1, m_cutoff)`.
     """
     return _coefficient_double_sum(s1, s2, spec, coprime_six=False)
 
@@ -194,26 +184,31 @@ def Z_coeff(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
 def Z_n_oracle(n: int, s: complex, m_cutoff: int) -> complex:
     """Truncated inner series sum_{m <= M} C(3m,-n) m^(-s).
 
-    Brute reference for the closed form and the local-factor product;
-    meaningful for Re(s) > 1.  ValueError when s is not finite.
+    Brute reference for the closed form and the local-factor product,
+    and each slice of `Z_coeff`; meaningful for Re(s) > 1.  ValueError
+    when s is not finite, n < 1 or m_cutoff < 1.
 
-    A slice with no nonzero coefficient (every n = 1 mod 3) returns 0j
-    at once, the value a dot of zeros gives.  Otherwise m^(-s) is formed
-    only where the coefficient is nonzero (about a quarter of the m) and
-    the other entries stay 0.  The dot product still runs over all M
-    entries, so its summation order is the one a full vector of powers
-    would give, and a zero coefficient adds only a signed zero: the
-    value is the same, bit for bit.  Its two complex operands are work
-    arrays kept per thread for the last cutoff, so a repeated call
-    neither allocates them nor page-faults them in again.
+    The one place a slice is known to vanish: every coefficient carries
+    the 3-part C(3^(v+1), -n), which for 3 not dividing n is 1 + (-n/3)
+    at every level, so C(3, -n) = 0 (n = 1 mod 3, by the sieve's scalar
+    symbol) returns 0j before the sieve, the value a dot of zeros gives.
+    Otherwise m^(-s) is formed only where the coefficient is nonzero
+    (about a quarter of the m) and the other entries stay 0.  The dot
+    product still runs over all M entries, so its summation order is
+    the one a full vector of powers would give, and a zero coefficient
+    adds only a signed zero: the value is the same, bit for bit.  Its
+    two complex operands are work arrays kept per thread for the last
+    cutoff, so a repeated call neither allocates them nor page-faults
+    them in again.
     """
     _finite(s)
+    # Bad n or m_cutoff goes on to the sieve's ValueError.
+    if n >= 1 and m_cutoff >= 1 and sqcount.count_roots_prime_power(3, 1, -n) == 0:
+        return 0j
     counts = sqcount.coefficient_sieve(n, m_cutoff)[1:]
     # flatnonzero scans a boolean mask about twice as fast as the int64
     # counts.
     nz = np.flatnonzero(counts != 0)
-    if not nz.size:
-        return 0j
     coeffs, powers = _oracle_work_arrays(m_cutoff)
     # Exact: a count is at most 3 * m_cutoff, far below 2^53.
     coeffs[:] = counts
@@ -335,7 +330,9 @@ def residue_identity_check(
     chi_sq = DirichletCharacter(24, [chi(k) ** 2 for k in range(24)])
     lhs = dirichlet_L(chi_sq, 2 * complex(s2)).value * Z_star(chi, s1, s2, spec)
 
-    kinv = _inverse_powers(inner_terms, s2)
+    kinv = np.exp(
+        -complex(s2) * np.log(np.arange(1, inner_terms + 1, dtype=float))
+    )
     ks = np.arange(inner_terms + 1)
     chi_vec = np.asarray([complex(chi(k)).real for k in range(24)])[ks % 24]
     terms = []
@@ -461,7 +458,8 @@ def decomposition_check(
     """Coefficient double sum against the character decomposition.
 
     Left side: sum over squarefree n coprime to 6 (n <= n_cutoff) of
-    n^(-s2) sum_{m <= m_cutoff} C(3m,-n) m^(-s1).  Right side:
+    n^(-s2) Z_n_oracle(n, s1, m_cutoff), an exact 0j when n = 1 mod 3.
+    Right side:
 
         (1/8) zeta(s1)/zeta(2 s1) (1 - 2^(-s1))^(-1)
             * sum_j sum_chi chi(j) A_j(s1) Z*_chi(s1, s2)

@@ -16,11 +16,10 @@ cutoff M at once, as an int64 numpy array.  It calls
 n = 3 mod 4, else 4n) and once per exponent level of the primes of 6n,
 and does the multiplicative fill without a loop over multipliers: a
 strided update per prime up to sqrt(M), and one fancy-index update per
-block of whole larger primes, about 2^16 multiples each.  A vanishing
-slice (n = 1 mod 3, where C(3, -n) = 0 divides every coefficient) skips
-all of that and returns the zero array at once; `mds.Z_n_oracle` then
-skips its dot product too, and on other slices it reuses two work
-arrays per thread in place of fresh ones.  Tests check the sieve
+block of whole larger primes, about 2^16 multiples each.  On a
+vanishing slice (n = 1 mod 3, where C(3, -n) = 0 divides every
+coefficient) the same fill ends in exact zeros; `mds.Z_n_oracle`
+returns 0j there before it calls the sieve.  Tests check the sieve
 against `coefficient` and against the multiplier-at-a-time sieve.
 """
 
@@ -142,11 +141,6 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
     observed maximum: C(3m, -n) counts residues mod 3m, so it is at most
     3m <= 3*m_cutoff, and every partial product below is a factor of it.
 
-    A vanishing slice returns the zero array at once: every coefficient
-    carries the 3-part C(3^(v+1), -n), which for 3 not dividing n is
-    1 + (-n/3) at every level, so C(3, -n) = 0 (n = 1 mod 3) zeroes
-    them all.
-
     The fill rests on one fact: a prime p not dividing 6n contributes
     1 + (-n/p), which is 0 or 2, at every exponent.  (-n/p) depends only
     on p mod n when n = 3 (mod 4), since -n = 1 (mod 4) then, and on
@@ -164,7 +158,9 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
     at e = v_p(m) by one strided in-place multiply per exponent level:
     the multiples of p^e are multiplied by C(p^e, -n) / C(p^(e-1), -n),
     an integer.  The 3-part is left out of h and applied last in the
-    same way, at exponent v_3(m) + 1, the 3-exponent of 3m.
+    same way, at exponent v_3(m) + 1, the 3-exponent of 3m.  Its first
+    factor is C(3, -n), which is 0 on a vanishing slice (n = 1 mod 3)
+    and there zeroes every entry.
 
     Kernel rule: every symbol here comes from the scalar `arith.kronecker`
     inside count_roots_prime_power, never from `arith.legendre_column`
@@ -175,11 +171,8 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
         raise ValueError(
             f"coefficient_sieve requires n, m_cutoff >= 1, got ({n}, {m_cutoff})"
         )
-    three = count_roots_prime_power(3, 1, -n)
-    if three == 0:
-        return np.zeros(m_cutoff + 1, dtype=np.int64)
     primes = arith._prime_array(m_cutoff)
-    special = _residues(2 * n, primes) == 0
+    special = arith._residues(2 * n, primes) == 0
     generic = primes[~special & (primes != 3)]
     split = _generic_counts(n, generic) == 2
 
@@ -194,7 +187,7 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
     for p in primes[special & (primes != 3)].tolist() + [3]:
         shift = 1 if p == 3 else 0
         # The count at exponent `shift`: C(p^0, -n) = 1, or C(3, -n).
-        last = three if p == 3 else 1
+        last = count_roots_prime_power(3, 1, -n) if p == 3 else 1
         if last != 1:
             h *= last
         q = p
@@ -214,13 +207,6 @@ def coefficient_sieve(n: int, m_cutoff: int) -> np.ndarray:
             e += 1
     h[0] = 0
     return h
-
-
-def _residues(a: int, moduli: np.ndarray) -> np.ndarray:
-    """a mod q for each q in moduli, exact for any Python int a >= 0."""
-    if a < 2**62:
-        return a % moduli
-    return np.array([a % q for q in moduli.tolist()], dtype=np.int64)
 
 
 def _generic_counts(n: int, primes: np.ndarray) -> np.ndarray:

@@ -211,21 +211,11 @@ def test_is_probable_prime_matches_spf_to_200k():
     assert got == want
 
 
-def test_is_probable_prime_four_witnesses_match_twelve(monkeypatch):
-    rng = random.Random(63)
-    samples = [rng.randrange(1681, arith._MR_SMALL_LIMIT) for _ in range(3000)]
-    samples += [rng.randrange(2**62, 2**63) for _ in range(300)]
-    # Strong pseudoprimes to base 2, to bases 2 and 3, and to 2, 3 and 5.
-    samples += [2047, 3277, 4033, 4681, 8321, 1373653, 25326001]
-    fast = [arith.is_probable_prime(n) for n in samples]
-    monkeypatch.setattr(arith, "_MR_SMALL_LIMIT", 0)
-    assert [arith.is_probable_prime(n) for n in samples] == fast
-    assert sum(fast) > 100
-
-
 def test_is_probable_prime_rejects_strong_pseudoprimes():
-    # Least strong pseudoprimes to the first four, five and six prime bases.
-    for n in (3_215_031_751, 2_152_302_898_747, 3_474_749_660_383):
+    # Least strong pseudoprimes to the first two, three, four, five and
+    # six prime bases.
+    for n in (1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+              3_474_749_660_383):
         assert not arith.is_probable_prime(n), n
 
 

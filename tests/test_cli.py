@@ -244,6 +244,40 @@ def test_verify_json_schema(capsys):
     assert record["results"][0]["passed"] is True
 
 
+def test_cutoff_ceilings(monkeypatch, capsys):
+    # Past a ceiling, or below 1, a command exits 2 with one line on
+    # stderr before it computes anything; the ceilings are admitted.
+    def refused(*args):
+        raise AssertionError("computed past a cutoff ceiling")
+
+    for name in ("Z_n_oracle", "Z_n_euler_product", "Z_direct", "Z_coeff"):
+        monkeypatch.setattr(cli.mds, name, refused)
+    monkeypatch.setattr(cli, "Z_n_closed", refused)
+    for argv in (
+        ["zn", "5", "--s", "2", "--cutoff", "10000000000"],
+        ["zn", "5", "--s", "2", "--prime-cutoff", "10000000000"],
+        ["zn", "5", "--s", "2", "--cutoff", "2000001"],
+        ["zn", "5", "--s", "0.5", "--cutoff", "0"],
+        ["table", "zn", "--cutoff", "2000001"],
+        ["zeta2", "--s1", "2.5", "--s2", "2", "--mmax", "4001"],
+        ["zeta2", "--s1", "2.5", "--s2", "2", "--nmax", "2501"],
+        ["zeta2", "--s1", "2.5", "--s2", "2", "--nmax", "0"],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count(
+            "\n") == 1, argv
+
+    monkeypatch.setattr(cli, "Z_n_closed", lambda n, s: 1.0)
+    for name in ("Z_n_oracle", "Z_n_euler_product"):
+        monkeypatch.setattr(cli.mds, name, lambda n, s, cutoff: 1.0)
+    argv = ["zn", "5", "--s", "2", "--cutoff", "2000000",
+            "--prime-cutoff", "10000000"]
+    assert cli.main(argv) == 0
+    assert "(cutoff=2000000)" in capsys.readouterr().out
+
+
 def test_exit_code_on_malformed_input(capsys):
     assert cli.main(["euler", "3", "7", "--s", "junk"]) == 2
     assert cli.main(["lfun", "--char", "nope:1", "--s", "2"]) == 2
