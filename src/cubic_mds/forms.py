@@ -12,8 +12,11 @@ geometry back to the square-root counter.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from . import arith
 
@@ -102,15 +105,21 @@ def enumerate_representatives(
     if require_odd_squarefree:
         sqfree = arith.squarefree_mask(n_cutoff)
     for a in range(1, m_cutoff + 1):
-        for b in range(3 * a):
-            # n = 3ac - b^2 in [1, n_cutoff] pins c to one short run.
-            c_lo = -((-(b * b + 1)) // (3 * a))
-            c_hi = (b * b + n_cutoff) // (3 * a)
-            for c in range(c_lo, c_hi + 1):
-                n = 3 * a * c - b * b
-                if n < 1 or n > n_cutoff:
-                    continue
-                if sqfree is not None and (n % 2 == 0 or not sqfree[n]):
-                    continue
-                yield (a, b, c, n)
-
+        # n = 3ac - b^2 in [1, n_cutoff] pins c, for each b, to the run
+        # from ceil((b^2 + 1) / 3a) to floor((b^2 + n_cutoff) / 3a); lay
+        # the runs of all 3a values of b end to end.
+        b = np.arange(3 * a, dtype=np.int64)
+        b2 = b * b
+        c_lo = (b2 + 3 * a) // (3 * a)
+        runs = np.maximum((b2 + n_cutoff) // (3 * a) - c_lo + 1, 0)
+        total = int(runs.sum())
+        if total == 0:
+            continue
+        ends = np.cumsum(runs)
+        b = np.repeat(b, runs)
+        c = np.repeat(c_lo - ends + runs, runs) + np.arange(total)
+        n = 3 * a * c - b * b
+        if sqfree is not None:
+            keep = (n % 2 == 1) & sqfree[n]
+            b, c, n = b[keep], c[keep], n[keep]
+        yield from zip(itertools.repeat(a), b.tolist(), c.tolist(), n.tolist())

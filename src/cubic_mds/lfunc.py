@@ -780,12 +780,36 @@ def _squarefree_powers(N: int, w: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _coprime_index(N: int, b: int) -> np.ndarray:
-    """Positions of the d coprime to b among the squarefree d <= N, read-only."""
+def _multiple_index(N: int, e: int) -> np.ndarray:
+    """Positions of the multiples of e among the squarefree d <= N, read-only."""
     dk = np.flatnonzero(arith.squarefree_mask(N)[1:]) + 1
-    idx = np.flatnonzero(np.gcd(dk, b) == 1)
+    idx = np.flatnonzero(dk % e == 0)
     idx.setflags(write=False)
     return idx
+
+
+@functools.lru_cache(maxsize=64)
+def _residue_sums(N: int, w: complex, q: int, e: int) -> np.ndarray:
+    """V[r] = sum of d^(-w) over squarefree d <= N with e | d and
+    d = r (mod q), for 0 <= r < q; read-only."""
+    dk, dw = _squarefree_powers(N, w)
+    idx = _multiple_index(N, e)
+    r = dk[idx] % q
+    terms = dw[idx]
+    v = np.bincount(r, weights=terms.real, minlength=q) + 1j * np.bincount(
+        r, weights=terms.imag, minlength=q
+    )
+    v.setflags(write=False)
+    return v
+
+
+@functools.lru_cache(maxsize=256)
+def _signed_divisors(b: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (e, mu(e)) for the divisors e of rad b, ascending in e."""
+    out = [(1, 1)]
+    for p, _ in arith.factorize(b):
+        out += [(e * p, -mu) for e, mu in out]
+    return tuple(sorted(out))
 
 
 def L_squarefree_restricted_table(
@@ -794,22 +818,26 @@ def L_squarefree_restricted_table(
     """Truncated sums over squarefree d <= N coprime to b of psi(d) d^(-w),
     one entry per b in `bs`.
 
-    The summands psi(d) d^(-w) are formed once for every squarefree d;
-    each b then sums the ones coprime to it, in ascending order of d.
+    By Moebius inversion over the divisors e of rad b, each entry is
+    sum_e mu(e) U_e, where U_e sums psi(d) d^(-w) over the squarefree
+    d <= N divisible by e.  U_e is psi's table dotted with the sums of
+    d^(-w) by residue of d mod q (`_residue_sums`), so a character
+    costs one dot of length q per e, whatever N is.  Each entry depends
+    only on (psi, b, w, N), not on the other b in `bs`.
     """
     bs = list(bs)
     if N < 1 or any(b < 1 for b in bs):
         raise ValueError("b and N must be >= 1")
     w = complex(w)
-    dk, dw = _squarefree_powers(N, w)
-    weighted = psi.table.astype(complex)[dk % psi.modulus] * dw
+    q = psi.modulus
+    table = psi.table.astype(complex)
+    divisors = [_signed_divisors(b) for b in bs]
+    U = {
+        e: table @ _residue_sums(N, w, q, e)
+        for e in {e for divs in divisors for e, _ in divs}
+    }
     return np.array(
-        [
-            np.sum(weighted.take(_coprime_index(N, b))) if b > 1
-            else np.sum(weighted)
-            for b in bs
-        ],
-        dtype=complex,
+        [sum(mu * U[e] for e, mu in divs) for divs in divisors], dtype=complex
     )
 
 

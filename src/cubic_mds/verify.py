@@ -366,8 +366,11 @@ def criterion_squarefree_l_identity() -> tuple[bool, str]:
     """L(2w, psi^2) L_b(w, psi) = L(w, psi) prod_{p|b}(1+psi(p)p^-w)^-1
     to 1e-6 at w = 2.5 for every psi of modulus <= 60 and b <= 30.
 
-    The truncated side is one table per psi over all b; the closed side
-    is evaluated per (psi, b) on its own."""
+    The truncated side is one table per psi over all b: by Moebius
+    inversion over the divisors e of rad b, each entry sums mu(e) times
+    psi's table dotted with the sums of d^-w over the squarefree d
+    divisible by e, grouped by d mod q.  The closed side is evaluated
+    per (psi, b) on its own."""
     w = 2.5
     terms = 20000
     bs = range(1, 31)

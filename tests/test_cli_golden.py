@@ -41,6 +41,8 @@ COMMANDS = [
     ["lfun", "--char", "psi:13", "--s", "0.3,2"],
     ["fe", "13", "--grid", "0.3", "0.5,5"],
     ["--format", "json", "lfun", "--char", "mod24:6", "--s", "0.5,3"],
+    ["verify", "2"],
+    ["verify", "8"],
 ]
 
 SCRIPT = """

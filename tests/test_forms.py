@@ -175,6 +175,36 @@ def test_enumeration_multiplicities():
             assert tally.get((a, n), 0) == sqcount.coefficient(a, n), (a, n)
 
 
+def plain_representatives(m_cutoff, n_cutoff, require_odd_squarefree):
+    """The reduced (a, b, c, n) by a plain triple loop over a, b and c."""
+    from cubic_mds import arith
+
+    rows = []
+    for a in range(1, m_cutoff + 1):
+        for b in range(3 * a):
+            # n >= 1 needs 3ac > b^2 >= 0, so c >= 1 and c <= (b^2 + N)/(3a).
+            for c in range(1, (b * b + n_cutoff) // (3 * a) + 1):
+                n = 3 * a * c - b * b
+                if not 1 <= n <= n_cutoff:
+                    continue
+                if require_odd_squarefree and not (
+                    n % 2 == 1 and arith.is_squarefree(n)
+                ):
+                    continue
+                rows.append((a, b, c, n))
+    return rows
+
+
+@pytest.mark.parametrize("odd_squarefree", [True, False])
+@pytest.mark.parametrize("m_cutoff, n_cutoff",
+                         [(1, 1), (1, 40), (7, 50), (30, 7), (25, 90)])
+def test_enumeration_matches_triple_loop(m_cutoff, n_cutoff, odd_squarefree):
+    got = list(forms.enumerate_representatives(
+        m_cutoff, n_cutoff, odd_squarefree))
+    assert got == plain_representatives(m_cutoff, n_cutoff, odd_squarefree)
+    assert all(type(v) is int for row in got for v in row)
+
+
 def test_enumeration_odd_squarefree_filter():
     rows = list(forms.enumerate_representatives(15, 50, True))
     from cubic_mds import arith

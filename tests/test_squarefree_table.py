@@ -4,7 +4,6 @@ plain-Python loop."""
 import functools
 import math
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -74,8 +73,34 @@ def test_table_rejects_bad_b_and_N():
 def test_cached_arrays_are_read_only():
     L_squarefree_restricted_table(all_characters_mod(7)[2], (1, 6), 2.5, 500)
     dk, dw = lfunc._squarefree_powers(500, 2.5 + 0j)
-    idx = lfunc._coprime_index(500, 6)
-    for arr in (dk, dw, idx):
+    idx = lfunc._multiple_index(500, 6)
+    sums = lfunc._residue_sums(500, 2.5 + 0j, 7, 6)
+    for arr in (dk, dw, idx, sums):
         with pytest.raises(ValueError):
             arr[0] = 0
-    assert (np.gcd(dk[idx], 6) == 1).all()
+    for e in (1, 2, 6, 35, 501):
+        idx = lfunc._multiple_index(500, e)
+        assert dk[idx].tolist() == [d for d in dk.tolist() if d % e == 0], e
+
+
+# b = 30030 has six primes; 223092870 (nine primes) exceeds N = 20;
+# 12 and 50 carry squares and must act as their radicals 6 and 10.
+FIXED = [
+    (7, 30030, 2.5 + 0j, 20000),
+    (11, 223092870, 2.5 + 0j, 20),
+    (5, 12, 2.5 + 0j, 20000),
+    (5, 50, 2.5 + 0j, 20000),
+    (60, 30, 2.5 + 0j, 20000),
+    (1, 30, 2.5 + 0j, 20000),
+    (13, 30, 2.5 + 3.0j, 20000),
+]
+
+
+@pytest.mark.parametrize("q, b, w, N", FIXED)
+def test_fixed_cases_match_reference(q, b, w, N):
+    rad = math.prod(p for p, _ in arith.factorize(b))
+    for psi in _characters(q):
+        got = L_squarefree_restricted_table(psi, (b, rad), w, N).tolist()
+        want = _reference(psi, b, w, N)
+        assert got[0] == got[1]
+        assert abs(got[0] - want) <= 1e-13 * abs(want), (psi, got, want)
