@@ -82,6 +82,24 @@ _MAX_TABLE = 100_000
 _MAX_CUTOFF = 2_000_000
 _MAX_PRIME_CUTOFF = 10_000_000
 _MAX_ZETA2_M, _MAX_ZETA2_N = 4_000, 2_500
+# Largest `euler --k`: the oracle takes about 2 us a term, so 1e6 terms
+# take 2.5 s at p = 2^31 - 1 and 31 MB.  Largest `forms` cutoffs: every
+# form is kept as a row, about 0.95 mmax * nmax of them, and at both
+# ceilings (475k rows) it takes 1.6 s and 178 MB, 200 MB as JSON.
+# Largest `table --nmax` and `table coeffs --mmax`: at both ceilings
+# `table coeffs` keeps 405k rows (1.2 s and 180 MB as JSON), and
+# `table zn --cutoff 2000000` takes 15 s on two workers of 131 MB each.
+_MAX_EULER_K = 1_000_000
+_MAX_FORMS_M, _MAX_FORMS_N = 1_000, 500
+_MAX_TABLE_N, _MAX_TABLE_M = 1_000, 1_000
+
+
+def _point_help(flag: str) -> str:
+    """Help for an option that takes a point s.  argparse reads a value
+    that starts with "-" and holds a comma as an option, so a negative
+    complex point is attached with "="."""
+    return (f'complex "RE,IM" or "RE"; attach a negative one with =,'
+            f" as {flag}=-1.5,0")
 
 
 def _ceiling(name: str, value: int, top: int) -> None:
@@ -187,6 +205,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_forms(args) -> int:
+    _ceiling("--mmax", args.mmax, _MAX_FORMS_M)
+    _ceiling("--nmax", args.nmax, _MAX_FORMS_N)
     rows = list(
         forms.enumerate_representatives(args.mmax, args.nmax, args.odd_squarefree)
     )
@@ -195,6 +215,7 @@ def _cmd_forms(args) -> int:
 
 
 def _cmd_euler(args) -> int:
+    _ceiling("--k", args.k, _MAX_EULER_K)
     s = parse_complex(args.s)
     closed = local_factor_closed(args.p, args.n, s)
     oracle = local_factor_oracle(args.p, args.n, s, args.k)
@@ -361,6 +382,9 @@ def _zn_row(task) -> tuple:
 
 def _cmd_table(args) -> int:
     _ceiling("--cutoff", args.cutoff, _MAX_CUTOFF)
+    _ceiling("--nmax", args.nmax, _MAX_TABLE_N)
+    if args.kind == "coeffs":
+        _ceiling("--mmax", args.mmax, _MAX_TABLE_M)
     s = parse_complex(args.s)
     if args.kind == "zn":
         tasks = [
@@ -421,8 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("forms", help="stream reduced representatives as CSV")
-    p.add_argument("--mmax", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--mmax", type=int, required=True, help=f"1..{_MAX_FORMS_M}")
+    p.add_argument("--nmax", type=int, required=True, help=f"1..{_MAX_FORMS_N}")
     p.add_argument("--odd-squarefree", action="store_true",
                    help="keep only odd squarefree n")
     p.set_defaults(fn=_cmd_forms)
@@ -430,14 +454,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("euler", help="local factor, closed vs truncated series")
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--s", required=True, help='complex "RE,IM" or "RE"')
-    p.add_argument("--k", type=int, default=60, help="series terms (default 60)")
+    p.add_argument("--s", required=True, help=_point_help("--s"))
+    p.add_argument("--k", type=int, default=60,
+                   help=f"series terms, 1..{_MAX_EULER_K} (default 60)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_euler)
 
     p = sub.add_parser("zn", help="inner series: closed vs sum vs product")
     p.add_argument("n", type=int)
-    p.add_argument("--s", required=True)
+    p.add_argument("--s", required=True, help=_point_help("--s"))
     p.add_argument("--cutoff", type=int, default=100000,
                    help=f"series cutoff, 1..{_MAX_CUTOFF}")
     p.add_argument("--prime-cutoff", type=int, default=10000,
@@ -448,19 +473,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lfun", help="Dirichlet L value")
     p.add_argument("--char", required=True,
                    help="eta:-N (N <= 25000) | mod24:J | psi:N (N <= 8333)")
-    p.add_argument("--s", required=True)
+    p.add_argument("--s", required=True, help=_point_help("--s"))
     p.set_defaults(fn=_cmd_lfun)
 
     p = sub.add_parser("zeta2", help="double series: two routes + decomposition")
-    p.add_argument("--s1", required=True)
-    p.add_argument("--s2", required=True)
+    p.add_argument("--s1", required=True, help=_point_help("--s1"))
+    p.add_argument("--s2", required=True, help=_point_help("--s2"))
     p.add_argument("--mmax", type=int, default=300, help=f"1..{_MAX_ZETA2_M}")
     p.add_argument("--nmax", type=int, default=300, help=f"1..{_MAX_ZETA2_N}")
     p.set_defaults(fn=_cmd_zeta2)
 
     p = sub.add_parser("fe", help="completed functional equation residuals")
     p.add_argument("n", type=int)
-    p.add_argument("--grid", nargs="+", default=["0.3", "0.75", "0.6,2", "0.5,5"])
+    p.add_argument("--grid", nargs="+", default=["0.3", "0.75", "0.6,2", "0.5,5"],
+                   help="points s; a negative one with an imaginary part is"
+                        " given alone, as --grid=-1.5,0.5")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_fe)
 
@@ -471,9 +498,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="emit CSV/JSON tables")
     p.add_argument("kind", choices=("zn", "coeffs"))
-    p.add_argument("--s", default="2.5", help="s for zn tables")
-    p.add_argument("--nmax", type=int, default=30)
-    p.add_argument("--mmax", type=int, default=50)
+    p.add_argument("--s", default="2.5",
+                   help="s for zn tables; " + _point_help("--s"))
+    p.add_argument("--nmax", type=int, default=30, help=f"1..{_MAX_TABLE_N}")
+    p.add_argument("--mmax", type=int, default=50,
+                   help=f"coefficients per n for coeffs tables, 1..{_MAX_TABLE_M}")
     p.add_argument("--cutoff", type=int, default=100000,
                    help=f"series cutoff for zn tables, 1..{_MAX_CUTOFF}")
     p.set_defaults(fn=_cmd_table)

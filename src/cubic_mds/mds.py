@@ -26,6 +26,8 @@ from .euler import _local_factor, _unit_factor
 from .lfunc import (
     _UNITS_MOD24,
     DirichletCharacter,
+    _afe_domain,
+    _L23_real_batch,
     A_j,
     L_removed_23,
     character_eta,
@@ -274,11 +276,36 @@ def Z_n_euler_product(n: int, s: complex, prime_cutoff: int) -> complex:
 # character-twisted pieces
 # ======================================================================
 
-# Inner L-values are shared across the 8 twists and across repeated
-# verification calls at one s; the key is (n, s).
+# Inner L-values by the Hurwitz route, shared across the 8 twists and
+# across repeated verification calls at one s; the key is (n, s).
 @functools.lru_cache(maxsize=65536)
 def _L23_eta(n: int, s: complex) -> complex:
     return L_removed_23(character_eta(n), s)
+
+
+def _outer_indices(n_cutoff: int) -> list[int]:
+    """The squarefree n <= n_cutoff coprime to 6, ascending."""
+    sqfree = arith.squarefree_mask(n_cutoff)
+    return [n for n in range(1, n_cutoff + 1, 2) if n % 3 and sqfree[n]]
+
+
+# The same L-values at one real s for all n up to a cutoff, from one
+# approximate-functional-equation batch; the key is (s, n_cutoff).
+@functools.lru_cache(maxsize=4)
+def _L23_eta_batch(s: float, n_cutoff: int) -> tuple[complex, ...]:
+    values = _L23_real_batch(_outer_indices(n_cutoff), s)
+    return tuple(complex(v) for v in values.tolist())
+
+
+def _twisted_sum(
+    chi: DirichletCharacter, ns: list[int], lvals, s2: complex
+) -> complex:
+    """sum of chi(n) L_n n^(-s2) over the n of `ns` and their L-values,
+    by `_fsum` in the order given.  chi has modulus 24, so chi(n) = +-1
+    on these n."""
+    return _fsum([
+        complex(chi(n)) * lval * _px(n, s2) for n, lval in zip(ns, lvals)
+    ])
 
 
 def Z_star(
@@ -287,21 +314,13 @@ def Z_star(
     """Twisted outer series over squarefree n coprime to 6.
 
     sum chi(n) L_{2,3}(eta_n, s1) n^(-s2) truncated at n_cutoff, in
-    ascending n order.  chi must have modulus 24.  Meaningful for
-    Re(s1) > 1 and Re(s2) > 1.
+    ascending n order, each L-value by the Hurwitz route.  chi must
+    have modulus 24.  Meaningful for Re(s1) > 1 and Re(s2) > 1.
     """
     if chi.modulus != 24:
         raise ValueError("Z_star expects a character of modulus 24")
-    sqfree = arith.squarefree_mask(spec.n_cutoff)
-    terms = []
-    for n in range(1, spec.n_cutoff + 1, 2):
-        if n % 3 == 0 or not sqfree[n]:
-            continue
-        cv = complex(chi(n))
-        if cv == 0:
-            continue
-        terms.append(cv * _L23_eta(n, s1) * _px(n, s2))
-    return _fsum(terms)
+    ns = _outer_indices(spec.n_cutoff)
+    return _twisted_sum(chi, ns, [_L23_eta(n, s1) for n in ns], s2)
 
 
 # ======================================================================
@@ -323,12 +342,24 @@ def residue_identity_check(
     of the twist k -> chi(k) (k/m), each inner L truncated at
     inner_terms.  Both sides use the cutoffs in spec (n_cutoff for the
     twisted series, m_cutoff for the m-sum).
+
+    At a real s1 of `lfunc._afe_domain` the left side's L-values
+    L_{2,3}(eta_n, s1) come from one approximate-functional-equation
+    batch (`lfunc._L23_real_batch`), kept per (s1, n_cutoff); elsewhere
+    the left side is `Z_star`, by the Hurwitz route.  The right side's
+    twists read `jacobi_table`, so the two sides share no L-value
+    kernel either way.
     """
     if chi.modulus != 24:
         raise ValueError("residue identity expects a character of modulus 24")
     # chi^2 as an honest character table (principal on the units).
     chi_sq = DirichletCharacter(24, [chi(k) ** 2 for k in range(24)])
-    lhs = dirichlet_L(chi_sq, 2 * complex(s2)).value * Z_star(chi, s1, s2, spec)
+    if _afe_domain(s1):
+        lvals = _L23_eta_batch(complex(s1).real, spec.n_cutoff)
+        zstar = _twisted_sum(chi, _outer_indices(spec.n_cutoff), lvals, s2)
+    else:
+        zstar = Z_star(chi, s1, s2, spec)
+    lhs = dirichlet_L(chi_sq, 2 * complex(s2)).value * zstar
 
     kinv = np.exp(
         -complex(s2) * np.log(np.arange(1, inner_terms + 1, dtype=float))

@@ -252,7 +252,13 @@ def test_cutoff_ceilings(monkeypatch, capsys):
 
     for name in ("Z_n_oracle", "Z_n_euler_product", "Z_direct", "Z_coeff"):
         monkeypatch.setattr(cli.mds, name, refused)
-    monkeypatch.setattr(cli, "Z_n_closed", refused)
+    for name in ("Z_n_closed", "_zn_row", "local_factor_closed",
+                 "local_factor_oracle"):
+        monkeypatch.setattr(cli, name, refused)
+    monkeypatch.setattr(cli.forms, "enumerate_representatives", refused)
+    monkeypatch.setattr(cli.sqcount, "coefficient_sieve", refused)
+    # `table zn` starts no pool of workers.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     for argv in (
         ["zn", "5", "--s", "2", "--cutoff", "10000000000"],
         ["zn", "5", "--s", "2", "--prime-cutoff", "10000000000"],
@@ -262,6 +268,13 @@ def test_cutoff_ceilings(monkeypatch, capsys):
         ["zeta2", "--s1", "2.5", "--s2", "2", "--mmax", "4001"],
         ["zeta2", "--s1", "2.5", "--s2", "2", "--nmax", "2501"],
         ["zeta2", "--s1", "2.5", "--s2", "2", "--nmax", "0"],
+        ["euler", "5", "7", "--s", "2", "--k", "1000001"],
+        ["forms", "--mmax", "1001", "--nmax", "5"],
+        ["forms", "--mmax", "5", "--nmax", "501"],
+        ["table", "zn", "--nmax", "1001"],
+        ["table", "coeffs", "--nmax", "1001"],
+        ["table", "coeffs", "--mmax", "1001"],
+        ["table", "coeffs", "--nmax", "0"],
     ):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -276,6 +289,21 @@ def test_cutoff_ceilings(monkeypatch, capsys):
             "--prime-cutoff", "10000000"]
     assert cli.main(argv) == 0
     assert "(cutoff=2000000)" in capsys.readouterr().out
+
+    for name in ("local_factor_closed", "local_factor_oracle"):
+        monkeypatch.setattr(cli, name, lambda p, n, s, k=60: 1.0)
+    monkeypatch.setattr(cli.forms, "enumerate_representatives",
+                        lambda mmax, nmax, odd: iter(()))
+    monkeypatch.setattr(cli, "_zn_row", lambda task: (task[0], 1j, 1j, 0.0))
+    for argv in (
+        ["euler", "5", "7", "--s", "2", "--k", "1000000"],
+        ["forms", "--mmax", "1000", "--nmax", "500"],
+        ["table", "zn", "--nmax", "1000"],
+        # The --mmax of a zn table is not read, so it has no ceiling.
+        ["table", "zn", "--nmax", "3", "--mmax", "1001"],
+    ):
+        assert cli.main(argv) == 0, argv
+    assert "\n997,0,1,0,1,0\n" in capsys.readouterr().out
 
 
 def test_exit_code_on_malformed_input(capsys):

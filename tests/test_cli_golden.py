@@ -43,6 +43,9 @@ COMMANDS = [
     ["--format", "json", "lfun", "--char", "mod24:6", "--s", "0.5,3"],
     ["verify", "2"],
     ["verify", "8"],
+    ["verify", "9"],
+    ["zeta2", "--s1", "3.3,0", "--s2", "2,0", "--mmax", "300", "--nmax", "200"],
+    ["zeta2", "--s1", "1.6,0", "--s2", "2,0", "--mmax", "300", "--nmax", "200"],
 ]
 
 SCRIPT = """

@@ -525,6 +525,54 @@ def test_squarefree_restricted_identity_small():
 
 
 # ======================================================================
+# approximate functional equation at real s
+# ======================================================================
+
+
+def test_gamma_upper_against_mpmath():
+    # a spans both arguments of the AFE on its domain, (s+1)/2 in (1, 2.45)
+    # and (2-s)/2 in (-0.95, 0.5); x straddles the splits at 1 and 3.
+    x = np.array([3e-4, 0.01, 0.3, 0.9999, 1.0, 1.0001, 1.5, 2.9999, 3.0,
+                  3.0001, 7.0, 20.0, 45.0])
+    for a in (1.0001, 1.3, 1.75, 2.15, 2.4499,
+              0.4999, 0.2, 0.05, -0.05, -0.25, -0.65, -0.9499):
+        got = lfunc._gamma_upper(a, x)
+        want = np.array([float(mpmath.gammainc(a, xi)) for xi in x])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), a
+
+
+def test_afe_domain_edges():
+    inside = (1.0001, 1.6, 1.9, 2.1, 2.5, 3.3, 3.8999, 2.5 + 0j, 3)
+    outside = (1.0, 0.5, 1.95, 2.0, 2.05, 3.9, 4.0, 2.5 + 1e-9j, math.nan,
+               math.inf)
+    assert all(lfunc._afe_domain(s) for s in inside)
+    assert not any(lfunc._afe_domain(s) for s in outside)
+    for s in (2.0, 2.5 + 1j):
+        with pytest.raises(ValueError, match="real-s L batch"):
+            lfunc._L23_real_batch([5, 7], s)
+
+
+def test_L23_real_batch_reads_no_hurwitz_gamma_or_table(monkeypatch):
+    ns = [1, 5, 7, 11, 13, 1997]
+    want = lfunc._L23_real_batch(ns, 2.5)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the AFE batch read another route's kernel")
+
+    for name in ("complex_gamma", "_hurwitz_sum", "_hurwitz_block",
+                 "jacobi_table", "_symbol_row", "character_from_symbol",
+                 "dirichlet_L"):
+        monkeypatch.setattr(lfunc, name, refused)
+    monkeypatch.setattr(lfunc, "DirichletCharacter", refused)
+    got = lfunc._L23_real_batch(ns, 2.5)
+    assert np.array_equal(got, want)
+    monkeypatch.undo()
+    for n, v in zip(ns, got.tolist()):
+        ref = L_removed_23(character_eta(n), 2.5)
+        assert abs(v - ref) <= 1e-13 * abs(ref), n
+
+
+# ======================================================================
 # branch factors and slice closed forms
 # ======================================================================
 

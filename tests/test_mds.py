@@ -6,7 +6,7 @@ import math
 import mpmath
 import pytest
 
-from cubic_mds import arith, euler, forms, mds, sqcount
+from cubic_mds import arith, euler, forms, lfunc, mds, sqcount
 from cubic_mds.arith import _px
 from cubic_mds.errors import PoleError
 from cubic_mds.lfunc import characters_mod24, principal_character
@@ -207,6 +207,40 @@ def test_residue_identity_trivial_character():
     spec = mds.TruncationSpec(m_cutoff=600, n_cutoff=600, tolerance=5e-3)
     c = mds.residue_identity_check(chi, 2.5, 2.0, spec, inner_terms=8000)
     assert c.passed, c.rel_err
+
+
+def test_L23_batch_matches_hurwitz():
+    # Criterion 9's batch, all 609 n <= 2000 at s = 2.5; at s = 1.6 and
+    # 3.3 every tenth n and the ten largest.
+    ns = mds._outer_indices(2000)
+    assert len(ns) == 609
+    cases = [(2.5, ns, mds._L23_eta_batch(2.5, 2000))]
+    few = sorted(set(ns[::10] + ns[-10:]))
+    for s in (1.6, 3.3):
+        cases.append((s, few, lfunc._L23_real_batch(few, s).tolist()))
+    for s, group, got in cases:
+        for n, v in zip(group, got):
+            want = mds._L23_eta(n, complex(s))
+            assert abs(v - want) <= 1e-13 * abs(want), (s, n)
+
+
+def test_residue_identity_routes(monkeypatch):
+    # Outside the AFE's real domain the left side is Z_star's, bit for
+    # bit; inside it no Hurwitz L-value is taken.
+    chi = characters_mod24()[3]
+    spec = mds.TruncationSpec(m_cutoff=50, n_cutoff=300, tolerance=1.0)
+    l2 = lfunc.dirichlet_L(principal_character(24), 4.0).value
+    for s1 in (2.0, 2.5 + 0.5j, 4.0):
+        c = mds.residue_identity_check(chi, s1, 2.0, spec, inner_terms=2000)
+        assert c.lhs == l2 * mds.Z_star(chi, s1, 2.0, spec), s1
+    hurwitz = l2 * mds.Z_star(chi, 2.5, 2.0, spec)
+
+    def refused(*args):
+        raise AssertionError("Hurwitz L-value inside the AFE's domain")
+
+    monkeypatch.setattr(mds, "_L23_eta", refused)
+    c = mds.residue_identity_check(chi, 2.5, 2.0, spec, inner_terms=2000)
+    assert abs(c.lhs - hurwitz) <= 1e-13 * abs(hurwitz)
 
 
 def test_residue_identity_nontrivial_even_character():
