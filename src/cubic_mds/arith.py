@@ -307,6 +307,13 @@ def squarefree_mask(limit: int) -> np.ndarray:
     return mask
 
 
+def odd_squarefree(limit: int) -> list[int]:
+    """The odd squarefree n <= limit, ascending; empty when limit < 1."""
+    if limit < 1:
+        return []
+    return (2 * np.flatnonzero(squarefree_mask(limit)[1::2]) + 1).tolist()
+
+
 # ======================================================================
 # p^(-s), the finiteness check and the pole guard of the closed forms
 # ======================================================================

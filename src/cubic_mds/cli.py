@@ -102,6 +102,9 @@ def _point_help(flag: str) -> str:
             f" as {flag}=-1.5,0")
 
 
+_FE_GRID = ("0.3", "0.75", "0.6,2", "0.5,5")
+
+
 def _ceiling(name: str, value: int, top: int) -> None:
     """ValueError unless 1 <= value <= top."""
     if value < 1:
@@ -342,6 +345,7 @@ def _cmd_zeta2(args) -> int:
 
 
 def _cmd_fe(args) -> int:
+    args.grid = args.grid or list(_FE_GRID)
     grid = [parse_complex(t) for t in args.grid]
     comps = mds.functional_equation_check(args.n, grid, tolerance=args.tol)
     lines = ["s_re,s_im,rel_err,passed"]
@@ -387,11 +391,7 @@ def _cmd_table(args) -> int:
         _ceiling("--mmax", args.mmax, _MAX_TABLE_M)
     s = parse_complex(args.s)
     if args.kind == "zn":
-        tasks = [
-            (n, s, args.cutoff)
-            for n in range(1, args.nmax + 1, 2)
-            if arith.is_squarefree(n)
-        ]
+        tasks = [(n, s, args.cutoff) for n in arith.odd_squarefree(args.nmax)]
         # Rows are independent; one worker per core, assembled in order.
         workers = min(os.cpu_count() or 1, len(tasks))
         if workers <= 1:
@@ -413,9 +413,7 @@ def _cmd_table(args) -> int:
     else:
         lines = ["m,n,coefficient"]
         results = []
-        for n in range(1, args.nmax + 1, 2):
-            if not arith.is_squarefree(n):
-                continue
+        for n in arith.odd_squarefree(args.nmax):
             coeffs = sqcount.coefficient_sieve(n, args.mmax).tolist()
             for m in range(1, args.mmax + 1):
                 lines.append(f"{m},{n},{coeffs[m]}")
@@ -428,8 +426,14 @@ def _cmd_table(args) -> int:
 # ======================================================================
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A usage error is one `error: ...` line on stderr, exit 2."""
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubic-mds",
         description="Verifiable evaluators for the cubic-form double series.",
     )
@@ -485,9 +489,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fe", help="completed functional equation residuals")
     p.add_argument("n", type=int)
-    p.add_argument("--grid", nargs="+", default=["0.3", "0.75", "0.6,2", "0.5,5"],
-                   help="points s; a negative one with an imaginary part is"
-                        " given alone, as --grid=-1.5,0.5")
+    p.add_argument("--grid", nargs="+", action="extend",
+                   help=f"points s (default {' '.join(_FE_GRID)}), the flag"
+                        " repeatable; attach a negative one with =, as"
+                        " --grid=-1.5,0.5")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(fn=_cmd_fe)
 
@@ -520,7 +525,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, PoleError, OracleScaleError) as e:
+    # OverflowError: a point s so far out that a power or Gamma overflows.
+    except (ValueError, OverflowError, PoleError, OracleScaleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,7 @@ from .lfunc import (
     characters_mod24,
     dirichlet_L,
     jacobi_table,
+    principal_character,
     riemann_zeta,
 )
 
@@ -155,23 +156,14 @@ def Z_direct(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
     ])
 
 
-def _coefficient_double_sum(
-    s1: complex, s2: complex, spec: TruncationSpec, coprime_six: bool
-) -> complex:
-    """Sum of C(3m,-n) m^(-s1) n^(-s2), ascending n then ascending m.
+def _coefficient_double_sum(ns: list[int], s1: complex, s2: complex,
+                            m_cutoff: int) -> complex:
+    """Sum of C(3m,-n) m^(-s1) n^(-s2) over the n of `ns` and m <= m_cutoff.
 
     Each n-slice is `Z_n_oracle`, so a vanishing one (n = 1 mod 3) adds
-    an exact 0j; slices are folded in ascending n order.
+    an exact 0j; the slices are folded by `_fsum` in the order of `ns`.
     """
-    sqfree = arith.squarefree_mask(spec.n_cutoff)
-    terms = []
-    for n in range(1, spec.n_cutoff + 1, 2):
-        if not sqfree[n]:
-            continue
-        if coprime_six and n % 3 == 0:
-            continue
-        terms.append(Z_n_oracle(n, s1, spec.m_cutoff) * _px(n, s2))
-    return _fsum(terms)
+    return _fsum([Z_n_oracle(n, s1, m_cutoff) * _px(n, s2) for n in ns])
 
 
 def Z_coeff(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
@@ -180,7 +172,8 @@ def Z_coeff(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
     Identical term multiset as Z_direct under matched cutoffs, grouped
     by n instead of by form into slices `Z_n_oracle(n, s1, m_cutoff)`.
     """
-    return _coefficient_double_sum(s1, s2, spec, coprime_six=False)
+    ns = arith.odd_squarefree(spec.n_cutoff)
+    return _coefficient_double_sum(ns, s1, s2, spec.m_cutoff)
 
 
 def Z_n_oracle(n: int, s: complex, m_cutoff: int) -> complex:
@@ -276,17 +269,14 @@ def Z_n_euler_product(n: int, s: complex, prime_cutoff: int) -> complex:
 # character-twisted pieces
 # ======================================================================
 
-# Inner L-values by the Hurwitz route, shared across the 8 twists and
-# across repeated verification calls at one s; the key is (n, s).
-@functools.lru_cache(maxsize=65536)
 def _L23_eta(n: int, s: complex) -> complex:
+    """L_{2,3}(eta_n, s) by the Hurwitz route."""
     return L_removed_23(character_eta(n), s)
 
 
 def _outer_indices(n_cutoff: int) -> list[int]:
     """The squarefree n <= n_cutoff coprime to 6, ascending."""
-    sqfree = arith.squarefree_mask(n_cutoff)
-    return [n for n in range(1, n_cutoff + 1, 2) if n % 3 and sqfree[n]]
+    return [n for n in arith.odd_squarefree(n_cutoff) if n % 3]
 
 
 # The same L-values at one real s for all n up to a cutoff, from one
@@ -314,8 +304,8 @@ def Z_star(
     """Twisted outer series over squarefree n coprime to 6.
 
     sum chi(n) L_{2,3}(eta_n, s1) n^(-s2) truncated at n_cutoff, in
-    ascending n order, each L-value by the Hurwitz route.  chi must
-    have modulus 24.  Meaningful for Re(s1) > 1 and Re(s2) > 1.
+    ascending n order, with one Hurwitz L-value per n per call.  chi
+    must have modulus 24.  Meaningful for Re(s1) > 1 and Re(s2) > 1.
     """
     if chi.modulus != 24:
         raise ValueError("Z_star expects a character of modulus 24")
@@ -328,19 +318,18 @@ def Z_star(
 # ======================================================================
 
 
+_INNER_TERMS = 20000
+
+
 def residue_identity_check(
-    chi: DirichletCharacter,
-    s1: complex,
-    s2: complex,
-    spec: TruncationSpec,
-    inner_terms: int = 20000,
+    chi: DirichletCharacter, s1: complex, s2: complex, spec: TruncationSpec
 ) -> SeriesComparison:
     """Check L(2 s2, chi^2) Z*(s1, s2) against its unfolded m-sum.
 
     The right side is sum over m coprime to 6 of (-1/m) m^(-s1) times
     prod_{p | m} (1 - chi^2(p) p^(-2 s2))^(-1) times the L-value at s2
     of the twist k -> chi(k) (k/m), each inner L truncated at
-    inner_terms.  Both sides use the cutoffs in spec (n_cutoff for the
+    _INNER_TERMS.  Both sides use the cutoffs in spec (n_cutoff for the
     twisted series, m_cutoff for the m-sum).
 
     At a real s1 of `lfunc._afe_domain` the left side's L-values
@@ -352,8 +341,8 @@ def residue_identity_check(
     """
     if chi.modulus != 24:
         raise ValueError("residue identity expects a character of modulus 24")
-    # chi^2 as an honest character table (principal on the units).
-    chi_sq = DirichletCharacter(24, [chi(k) ** 2 for k in range(24)])
+    # Every character mod 24 is real, so chi^2 is principal.
+    chi_sq = principal_character(24)
     if _afe_domain(s1):
         lvals = _L23_eta_batch(complex(s1).real, spec.n_cutoff)
         zstar = _twisted_sum(chi, _outer_indices(spec.n_cutoff), lvals, s2)
@@ -362,9 +351,9 @@ def residue_identity_check(
     lhs = dirichlet_L(chi_sq, 2 * complex(s2)).value * zstar
 
     kinv = np.exp(
-        -complex(s2) * np.log(np.arange(1, inner_terms + 1, dtype=float))
+        -complex(s2) * np.log(np.arange(1, _INNER_TERMS + 1, dtype=float))
     )
-    ks = np.arange(inner_terms + 1)
+    ks = np.arange(_INNER_TERMS + 1)
     chi_vec = np.asarray([complex(chi(k)).real for k in range(24)])[ks % 24]
     terms = []
     for m in range(1, spec.m_cutoff + 1):
@@ -496,22 +485,22 @@ def decomposition_check(
             * sum_j sum_chi chi(j) A_j(s1) Z*_chi(s1, s2)
 
     with j over the units mod 24 and chi over the eight real characters
-    mod 24.  The n-cutoffs match on both sides so the outer truncation
-    cancels; the inner m-truncation on the left is the only gap, and
-    m_cutoff must be chosen so its tail bound sits below the tolerance.
+    mod 24.  Both sides run over one list of n, so the outer truncation
+    cancels; each L_{2,3}(eta_n, s1) is taken once (Hurwitz) for all
+    eight chi.  The inner m-truncation on the left is the only gap; its
+    tail bound at m_cutoff must sit below the tolerance.
     """
     s1 = complex(s1)
     s2 = complex(s2)
-    lhs = _coefficient_double_sum(s1, s2, spec, coprime_six=True)
+    ns = _outer_indices(spec.n_cutoff)
+    lhs = _coefficient_double_sum(ns, s1, s2, spec.m_cutoff)
+    lvals = [_L23_eta(n, s1) for n in ns]
 
     ajs = {j: A_j(j, s1) for j in _UNITS_MOD24}
     total = 0j
     for chi in characters_mod24():
-        zs = Z_star(chi, s1, s2, spec)
-        weight = 0j
-        for j in _UNITS_MOD24:
-            weight += complex(chi(j)) * ajs[j]
-        total += weight * zs
+        weight = sum(complex(chi(j)) * ajs[j] for j in _UNITS_MOD24)
+        total += weight * _twisted_sum(chi, ns, lvals, s2)
     front = riemann_zeta(s1) / riemann_zeta(2 * s1) / (1 - _px(2, s1))
     rhs = front * total / 8
     return SeriesComparison.compare(lhs, rhs, spec)

@@ -228,11 +228,8 @@ def criterion_zn_closed() -> tuple[bool, str]:
     worst = 0.0
     worst_at = ""
     zero_bad = 0
-    checked = 0
-    for n in range(1, 61, 2):
-        if not arith.is_squarefree(n):
-            continue
-        checked += 1
+    ns = arith.odd_squarefree(60)
+    for n in ns:
         closed = Z_n_closed(n, 2.5)
         oracle = mds.Z_n_oracle(n, 2.5, 100000)
         if n % 3 == 1:
@@ -245,7 +242,7 @@ def criterion_zn_closed() -> tuple[bool, str]:
             worst_at = f"n={n}"
     ok = worst <= 1e-4 and zero_bad == 0
     detail = (
-        f"{checked} odd squarefree n, worst rel {worst:.3e} at {worst_at}, "
+        f"{len(ns)} odd squarefree n, worst rel {worst:.3e} at {worst_at}, "
         f"{zero_bad} wrong exact zeros"
     )
     return ok, detail

@@ -176,6 +176,16 @@ def test_squarefree_mask_matches_pointwise():
         assert bool(mask[n]) == arith.is_squarefree(n), n
 
 
+def test_odd_squarefree_matches_pointwise_filter():
+    for limit in range(1, 301):
+        want = [n for n in range(1, limit + 1, 2) if arith.is_squarefree(n)]
+        got = arith.odd_squarefree(limit)
+        assert got == want, limit
+        assert all(type(n) is int for n in got)
+    for limit in (0, -1, -300):
+        assert arith.odd_squarefree(limit) == []
+
+
 # ======================================================================
 # sieves
 # ======================================================================

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, determinism, output schema."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,11 @@ import pytest
 
 import cubic_mds
 from cubic_mds import cli, lfunc, sqcount, verify
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the contract test below is then not collected
+    given = None
 
 # ======================================================================
 # parsing helpers
@@ -128,6 +135,17 @@ def test_fe_command(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "s_re,s_im,rel_err,passed"
     assert len(out) == 4
+
+
+def test_fe_grid_flags_add_up(capsys):
+    # Each --grid adds its points; a negative complex point is attached
+    # with =, and a later flag no longer replaces it.
+    assert cli.main(["fe", "5", "--grid=-1.5,0.5", "--grid", "0.3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "s_re,s_im,rel_err,passed"
+    assert [ln.split(",")[:2] for ln in out[1:3]] == [
+        ["-1.5", "0.5"], ["0.29999999999999999", "0"]]
+    assert out[3:] == ["status: pass"]
 
 
 def test_forms_command_csv(capsys):
@@ -374,3 +392,120 @@ def test_exit_code_on_verification_failure(capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ======================================================================
+# the contract over every subcommand
+# ======================================================================
+
+if given is not None:
+    # A point that parses: near the poles and zeros, at the |Im s| = 50
+    # edge, and far out, where powers and Gamma values overflow.
+    _GOOD_POINTS = ("0.3", "0.5", "1", "2", "2.5", "3.3", "0", "-1",
+                    "-1.5,0.5", "2.5,1.3", "0.5,49.9", "2,-50", "800",
+                    "-800", "1e300", "-1e300,3")
+    _BAD_POINTS = ("nan", "inf", "-inf,0", "2,50.1", "2,nan", "", "junk",
+                   "1,2,3", ",")
+
+    def _tokens(flag, values):
+        """[flag, value] for each of the values."""
+        return st.sampled_from([[flag, str(v)] for v in values])
+
+    def _point(flag, values=_GOOD_POINTS):
+        """A point attached with =, or as the next token, which argparse
+        takes for an option when it starts with "-"."""
+        return st.sampled_from(values).flatmap(lambda v: st.sampled_from(
+            [[f"{flag}={v}"], [flag, v]]))
+
+    def _ints(flag, good, *ceilings):
+        """A good value; or 0, -1, each ceiling + 1, far beyond, or a
+        token that is no integer."""
+        bad = (0, -1, *(c + 1 for c in ceilings), 10**30, "x")
+        return _tokens(flag, good), _tokens(flag, bad)
+
+    def _positional(good, bad):
+        return (st.sampled_from([[str(v)] for v in good]),
+                st.sampled_from([[str(v)] for v in bad]))
+
+    def _optional(field):
+        """The option at its default, or drawn; a bad draw is unchanged."""
+        good, bad = field
+        return st.one_of(st.just([]), good), bad
+
+    @st.composite
+    def _command(draw, name, *fields):
+        """argv of one subcommand: every field from its good values,
+        except, half the time, one field from its bad values."""
+        n = len(fields)
+        bad = draw(st.sampled_from([None] * n + list(range(n))))
+        argv = [name]
+        for i, (good, worse) in enumerate(fields):
+            argv += draw(worse if i == bad else good)
+        return argv
+
+    _S = _point("--s"), _point("--s", _BAD_POINTS)
+    _TOL = _optional((_tokens("--tol", ("1e-8", "inf")),
+                      _tokens("--tol", ("0", "-1", "nan", "x"))))
+    _GRID = (
+        st.lists(_point("--grid"), min_size=1, max_size=3).map(
+            lambda xs: [t for x in xs for t in x]) | st.just([]),
+        _point("--grid", _BAD_POINTS) | st.just(["--grid"]),
+    )
+    _ARGV = st.one_of(
+        _command("count", _positional((1, 7, 45, 120), (0, -1, 10**30, "x")),
+                 _positional((19, -7, 0, 10**30), ("x", "1.5"))),
+        _command("forms", _ints("--mmax", (1, 3), cli._MAX_FORMS_M),
+                 _ints("--nmax", (1, 5), cli._MAX_FORMS_N),
+                 (st.sampled_from([[], ["--odd-squarefree"]]),
+                  st.just(["--odd-squarefree=1"]))),
+        _command("euler", _positional((2, 3, 5, 7), (1, 4, 0, 10**30, "x")),
+                 _positional((1, 7, 35, 10**30), (0, -7, "x")), _S,
+                 _optional(_ints("--k", (1, 60), cli._MAX_EULER_K)), _TOL),
+        _command("zn", _positional((1, 5, 7, 35),
+                                   (4, 0, -5, 10000019, 10**30, "x")), _S,
+                 _optional(_ints("--cutoff", (1, 50, 1000), cli._MAX_CUTOFF)),
+                 _optional(_ints("--prime-cutoff", (1, 50),
+                                 cli._MAX_PRIME_CUTOFF)), _TOL),
+        _command("lfun", (
+            _tokens("--char", ("eta:-1", "eta:-5", "eta:-8", "eta:-24",
+                               "psi:1", "psi:5", "psi:7", "mod24:0",
+                               "mod24:5", "mod24:7")),
+            _tokens("--char", ("eta:0", "eta:-25001", f"eta:-{10**30}",
+                               "eta:x", "psi:2", "psi:0", "psi:8334",
+                               "mod24:8", "mod24:-1", "eta", ":", "chi:5")),
+        ), _S),
+        _command("zeta2", (_point("--s1"), _point("--s1", _BAD_POINTS)),
+                 (_point("--s2"), _point("--s2", _BAD_POINTS)),
+                 _ints("--mmax", (1, 3, 20), cli._MAX_ZETA2_M),
+                 _ints("--nmax", (1, 5, 30), cli._MAX_ZETA2_N)),
+        _command("fe", _positional((1, 5, 7, 13),
+                                   (3, 0, -5, 1000003, 10**30, "x")),
+                 _GRID, _TOL),
+        _command("verify", _positional(
+            ("5", "character-decomposition"), ("0", "11", "-1", "x", ""))),
+        _command("table", _positional(("zn", "coeffs"), ("nope",)),
+                 _optional(_S), _ints("--nmax", (1, 3, 5), cli._MAX_TABLE_N),
+                 _optional(_ints("--mmax", (1, 50), cli._MAX_TABLE_M)),
+                 _optional(_ints("--cutoff", (1, 20, 1000), cli._MAX_CUTOFF))),
+        st.lists(st.sampled_from(("--bogus", "nope", "-x", "--format", "xml",
+                                  "count")), max_size=3),
+    )
+
+    @settings(max_examples=300)
+    @given(prefix=st.sampled_from(([], ["--format", "json"])), argv=_ARGV)
+    def test_cli_contract(prefix, argv):
+        # Every command exits 0, 1 or 2 without a traceback, and exit 2
+        # comes with exactly one line on stderr.
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            # `table zn` starts no pool of workers.
+            mp.setattr(cli.os, "cpu_count", lambda: 1)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(prefix + argv)
+        stderr = err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in stderr, argv
+        if code == 2:
+            assert stderr.count("\n") == 1 and stderr.endswith("\n"), (
+                argv, stderr)

@@ -46,6 +46,9 @@ COMMANDS = [
     ["verify", "9"],
     ["zeta2", "--s1", "3.3,0", "--s2", "2,0", "--mmax", "300", "--nmax", "200"],
     ["zeta2", "--s1", "1.6,0", "--s2", "2,0", "--mmax", "300", "--nmax", "200"],
+    ["verify", "10"],
+    ["zeta2", "--s1", "2.5,0.5", "--s2", "2,0", "--mmax", "300", "--nmax", "100"],
+    ["--format", "json", "fe", "5"],
 ]
 
 SCRIPT = """

@@ -188,6 +188,38 @@ def test_decomposition_identity_small():
     assert c.passed, (c.rel_err, c.spec.tolerance)
 
 
+def test_decomposition_takes_each_inner_L_value_once(monkeypatch):
+    # One Hurwitz L-value per outer n, twisted by all eight characters.
+    calls = []
+    plain = mds._L23_eta
+
+    def counted(n, s):
+        calls.append(n)
+        return plain(n, s)
+
+    monkeypatch.setattr(mds, "_L23_eta", counted)
+    spec = mds.TruncationSpec(m_cutoff=100, n_cutoff=60, tolerance=1.0)
+    mds.decomposition_check(2.5, 2.0, spec)
+    assert calls == mds._outer_indices(60)
+
+
+def test_decomposition_and_Z_star_stay_on_hurwitz(monkeypatch):
+    # 2.5 lies in the AFE's domain, yet neither reads the AFE batch.
+    def refused(*args):
+        raise AssertionError("AFE batch read outside residue_identity_check")
+
+    monkeypatch.setattr(lfunc, "_L23_real_batch", refused)
+    monkeypatch.setattr(mds, "_L23_real_batch", refused)
+    mds._L23_eta_batch.cache_clear()
+    spec = mds.TruncationSpec(m_cutoff=100, n_cutoff=60, tolerance=1.0)
+    ns = mds._outer_indices(60)
+    lvals = [lfunc.L_removed_23(lfunc.character_eta(n), 2.5) for n in ns]
+    for chi in characters_mod24():
+        want = mds._fsum([chi(n) * lv * n**-2.0 for n, lv in zip(ns, lvals)])
+        assert mds.Z_star(chi, 2.5, 2.0, spec) == want
+    assert mds.decomposition_check(2.5, 2.0, spec).rel_err < 1e-3
+
+
 # ======================================================================
 # residue identities and the compensated product
 # ======================================================================
@@ -205,7 +237,7 @@ def test_prime_zeta_against_mpmath():
 def test_residue_identity_trivial_character():
     chi = characters_mod24()[0]
     spec = mds.TruncationSpec(m_cutoff=600, n_cutoff=600, tolerance=5e-3)
-    c = mds.residue_identity_check(chi, 2.5, 2.0, spec, inner_terms=8000)
+    c = mds.residue_identity_check(chi, 2.5, 2.0, spec)
     assert c.passed, c.rel_err
 
 
@@ -231,7 +263,7 @@ def test_residue_identity_routes(monkeypatch):
     spec = mds.TruncationSpec(m_cutoff=50, n_cutoff=300, tolerance=1.0)
     l2 = lfunc.dirichlet_L(principal_character(24), 4.0).value
     for s1 in (2.0, 2.5 + 0.5j, 4.0):
-        c = mds.residue_identity_check(chi, s1, 2.0, spec, inner_terms=2000)
+        c = mds.residue_identity_check(chi, s1, 2.0, spec)
         assert c.lhs == l2 * mds.Z_star(chi, s1, 2.0, spec), s1
     hurwitz = l2 * mds.Z_star(chi, 2.5, 2.0, spec)
 
@@ -239,7 +271,7 @@ def test_residue_identity_routes(monkeypatch):
         raise AssertionError("Hurwitz L-value inside the AFE's domain")
 
     monkeypatch.setattr(mds, "_L23_eta", refused)
-    c = mds.residue_identity_check(chi, 2.5, 2.0, spec, inner_terms=2000)
+    c = mds.residue_identity_check(chi, 2.5, 2.0, spec)
     assert abs(c.lhs - hurwitz) <= 1e-13 * abs(hurwitz)
 
 
@@ -247,7 +279,7 @@ def test_residue_identity_nontrivial_even_character():
     chi = characters_mod24()[3]
     assert chi.parity == 0
     spec = mds.TruncationSpec(m_cutoff=600, n_cutoff=600, tolerance=1e-4)
-    c = mds.residue_identity_check(chi, 2.5, 2.0, spec, inner_terms=8000)
+    c = mds.residue_identity_check(chi, 2.5, 2.0, spec)
     assert c.passed, c.rel_err
 
 
