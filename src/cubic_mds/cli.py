@@ -45,13 +45,16 @@ def _cx(z: complex) -> str:
 
 
 # The accuracy envelope of the Hurwitz kernel is |Im s| <= 50, and its
-# arrays grow with |Im s|, so no command takes a point beyond it.
+# arrays grow with |Im s|, so no command takes a point beyond it.  Past
+# |Re s| = 50 the powers (k + x)^(-s) and n^(-s) leave the double range
+# (at Re s = 800 they overflow to nan), so no command takes those either.
 _MAX_IM = 50.0
+_MAX_RE = 50.0
 
 
 def parse_complex(text: str) -> complex:
-    """"RE,IM" or "RE" (imaginary part zero); both parts finite and
-    |IM| <= 50, the documented envelope."""
+    """"RE,IM" or "RE" (imaginary part zero); both parts finite,
+    |RE| <= 50 and |IM| <= 50, the documented envelope."""
     parts = text.split(",")
     if len(parts) not in (1, 2):
         raise ValueError(f"cannot parse complex number from {text!r}")
@@ -62,6 +65,10 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number from {text!r}") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"complex number {text!r} is not finite")
+    if abs(re) > _MAX_RE:
+        raise ValueError(
+            f"complex number {text!r} is outside the envelope |Re s| <= {_MAX_RE:g}"
+        )
     if abs(im) > _MAX_IM:
         raise ValueError(
             f"complex number {text!r} is outside the envelope |Im s| <= {_MAX_IM:g}"
@@ -98,8 +105,8 @@ def _point_help(flag: str) -> str:
     """Help for an option that takes a point s.  argparse reads a value
     that starts with "-" and holds a comma as an option, so a negative
     complex point is attached with "="."""
-    return (f'complex "RE,IM" or "RE"; attach a negative one with =,'
-            f" as {flag}=-1.5,0")
+    return (f'complex "RE,IM" or "RE", |RE| <= 50 and |IM| <= 50; attach a'
+            f" negative one with =, as {flag}=-1.5,0")
 
 
 _FE_GRID = ("0.3", "0.75", "0.6,2", "0.5,5")

@@ -45,7 +45,9 @@ import cmath
 import functools
 import itertools
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -163,11 +165,20 @@ _MAX_BLOCK = 2**24
 
 # Entries of the head summed at once.  Each column is a sequential sum
 # down its rows, so splitting the block between columns changes no bit;
-# rows are never split, which would change the order of the sums.  At
-# 2^13 a span's complex terms stay under malloc's default 128 KiB mmap
-# threshold; 2^14 and 2^15 made a fresh process fault in about 30 % and
-# 55 % more pages, as each span's temporaries were mapped and unmapped.
-_HEAD_ENTRIES = 2**13
+# rows are never split, which would change the order of the sums.  A
+# span fills work arrays that its thread keeps (`_head_work_arrays`), so
+# its size costs no page faults, only 24 bytes an entry per thread.  Each
+# span takes and drops the interpreter lock five times: at 2^13 the two
+# threads of a shared block spent 8-24 % more CPU time on its head than
+# one thread alone, at 2^15 within 6 % of it (5,996 points at
+# s = 0.4 + 6i, two CPUs).
+_HEAD_ENTRIES = 2**15
+
+# A block of this many spans or more shares them between the caller and
+# a thread pool (`_head_threads`); numpy releases the interpreter lock
+# inside the power, sum and abs of a span.  No block of a verification
+# pass, nor of `zn` at n below 400, has that many.
+_SHARED_SPANS = 4
 
 # Criterion 8 asks for the same block (same s, points and deflation)
 # once per character mod q, since the characters share their units.
@@ -192,11 +203,102 @@ def _column_spans(points: int, rows: int) -> list[tuple[int, int]]:
     sums a lone column pairwise, not down the rows, which would change
     its last bits.  So a tall block (rows past the budget) takes two
     columns at a time, and a single column left over joins the span
-    before it.
+    before it.  Each span writes only its own columns, so the spans give
+    the same bits in any order and on any thread.
     """
     width = max(2, _HEAD_ENTRIES // rows)
     edges = [*range(0, max(points - 1, 1), width), points]
     return list(zip(edges, edges[1:]))
+
+
+# The CPUs the head of a block is shared among, and the pool of threads
+# that takes all but the caller's share: both are made on the first
+# block of _SHARED_SPANS spans or more, and dropped in a forked child,
+# which has none of its parent's threads.
+_head_lock = threading.Lock()
+_head_cpus: int | None = None
+_head_pool = None
+
+
+def _forget_head_pool() -> None:
+    global _head_lock, _head_cpus, _head_pool
+    _head_lock = threading.Lock()
+    _head_cpus = _head_pool = None
+
+
+os.register_at_fork(after_in_child=_forget_head_pool)
+
+
+def _head_threads(spans: int):
+    """(threads, pool): how many threads share `spans` spans of a head,
+    the caller included, and the pool that runs the others (None when
+    the caller sums alone).
+
+    Every CPU this process may run on, at most one per two spans; one
+    thread for fewer than _SHARED_SPANS spans, and in a process that
+    multiprocessing started, so that the workers of `table zn` start no
+    threads of their own.
+    """
+    global _head_cpus, _head_pool
+    if spans < _SHARED_SPANS:
+        return 1, None
+    with _head_lock:
+        if _head_cpus is None:
+            import multiprocessing
+
+            if multiprocessing.parent_process() is not None:
+                _head_cpus = 1
+            elif hasattr(os, "sched_getaffinity"):
+                _head_cpus = len(os.sched_getaffinity(0))
+            else:
+                _head_cpus = os.cpu_count() or 1
+        threads = min(_head_cpus, spans // 2)
+        if threads < 2:
+            return 1, None
+        if _head_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _head_pool = ThreadPoolExecutor(
+                _head_cpus - 1, thread_name_prefix="hurwitz-head")
+        return threads, _head_pool
+
+
+_head_work = threading.local()
+
+
+def _head_work_arrays(entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's float and complex work arrays of at least `entries`
+    entries.  They grow to the largest span the thread has summed, up to
+    2 * _HEAD_ENTRIES; a larger span, which only a tall block far up the
+    line has, gets arrays that are not kept."""
+    arrays = getattr(_head_work, "arrays", None)
+    if arrays is None or arrays[0].size < entries:
+        arrays = np.empty(entries), np.empty(entries, dtype=complex)
+        if entries <= 2 * _HEAD_ENTRIES:
+            _head_work.arrays = arrays
+    return arrays
+
+
+def _sum_spans(s: complex, xs: np.ndarray, rows: int, spans, head: np.ndarray,
+               column_mass: np.ndarray, errors: dict) -> None:
+    """Sum the spans this thread takes from the iterator `spans`, which
+    the threads of a block share, into `head` and `column_mass`: the
+    terms (k + x)^(-s) over k < rows, and their absolute values, down
+    each column.  The numpy error state is `errors`, the caller's, which
+    a pool thread does not inherit.  next() on a list iterator holds the
+    interpreter lock, so no span is taken twice."""
+    ks = np.arange(rows, dtype=float)[:, None]
+    with np.errstate(**errors):
+        for lo, hi in spans:
+            entries = rows * (hi - lo)
+            floats, terms = _head_work_arrays(entries)
+            base = floats[:entries].reshape(rows, hi - lo)
+            terms = terms[:entries].reshape(rows, hi - lo)
+            np.add(ks, xs[None, lo:hi], out=base)
+            np.power(base, -s, out=terms)
+            np.sum(terms, axis=0, out=head[lo:hi])
+            np.abs(terms, out=base)
+            np.sum(base, axis=0, out=column_mass[lo:hi])
 
 
 def _hurwitz_block(
@@ -208,8 +310,10 @@ def _hurwitz_block(
     Second result is a per-point error estimate.  The values are a
     read-only array.  ValueError when s is not finite, or when |Im s|
     makes the block larger than 2^24 entries, a bound on its work: the
-    head is summed in spans of columns, so memory stays near
-    _HEAD_ENTRIES entries plus a few arrays of one entry per point.
+    head is summed in spans of columns, so memory stays near one span of
+    _HEAD_ENTRIES entries per thread plus a few arrays of one entry per
+    point.  A block of _SHARED_SPANS spans or more shares its spans
+    among the CPUs (`_head_threads`), with the same bits.
     """
     s = _finite(complex(s))
     xs = np.asarray(xs, dtype=float)
@@ -238,13 +342,22 @@ def _hurwitz_sum(
     if not deflate and abs(s - 1) < _POLE_EPS:
         raise PoleError("hurwitz zeta pole at s = 1")
     shift = _em_shift(s)
-    ks = np.arange(shift, dtype=float)[:, None]
     head = np.empty(xs.size, dtype=complex)
     column_mass = np.empty(xs.size)
-    for lo, hi in _column_spans(xs.size, shift):
-        head_terms = np.power(ks + xs[None, lo:hi], -s)
-        head[lo:hi] = head_terms.sum(axis=0)
-        column_mass[lo:hi] = np.abs(head_terms).sum(axis=0)
+    spans = _column_spans(xs.size, shift)
+    threads, pool = _head_threads(len(spans))
+    shared = iter(spans)
+    share = (s, xs, shift, shared, head, column_mass, np.geterr())
+    others = [pool.submit(_sum_spans, *share) for _ in range(threads - 1)]
+    try:
+        _sum_spans(*share)
+    finally:
+        for _ in shared:  # after a failure the others stop after one span
+            pass
+        for other in others:
+            other.exception()  # waits: the threads write into head
+    for other in others:
+        other.result()
     mass = float(np.max(column_mass))
     w = shift + xs
     logw = np.log(w)
@@ -702,7 +815,10 @@ def dirichlet_L(chi: DirichletCharacter, s: complex) -> LSeriesValue:
     before summing (the removed poles cancel against Sum chi(a) = 0), so
     the value is finite and correct at s = 1 as well.  Principal chi at
     s = 1 raises PoleError.  ValueError when the Hurwitz block, about
-    1.6 |Im s| rows by one column per residue, would pass 2^24 entries.
+    1.6 |Im s| rows by one column per residue, would pass 2^24 entries,
+    and when the value or its error estimate is not finite: q^(-s) and
+    the Hurwitz sum can each fit in a double while their product does
+    not, as for the conductor 99,996 at s = -50.
     """
     s = complex(s)
     q = chi.modulus
@@ -718,8 +834,13 @@ def dirichlet_L(chi: DirichletCharacter, s: complex) -> LSeriesValue:
     xs = residues / q
     hur, point_err = _hurwitz_block(s, xs, deflate=not principal)
     scale = _px(q, s) if q > 1 else 1.0
-    value = complex(scale * np.sum(weights * hur))
+    # In Python complex arithmetic, the same bits as numpy's, a product
+    # past the double range is inf without a warning; it is refused here.
+    value = scale * complex(np.sum(weights * hur))
     err = abs(scale) * len(residues) * (point_err + 1e-15)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise ValueError(f"L(s, chi) mod {q} at s = {s} is not finite in"
+                         " double precision")
     return LSeriesValue(
         s=s, value=value, method="hurwitz_euler_maclaurin", error_estimate=err
     )

@@ -17,7 +17,7 @@ character tables under test.  The table is imprimitive, so
 
 import pytest
 
-from cubic_mds import verify
+from cubic_mds import lfunc, verify
 
 
 @pytest.mark.parametrize(
@@ -25,7 +25,11 @@ from cubic_mds import verify
     verify.SUITES,
     ids=[f"{fn.number:02d}-{fn.suite_name}" for fn in verify.SUITES],
 )
-def test_acceptance_criterion(suite, record_property):
+def test_acceptance_criterion(suite, record_property, monkeypatch):
+    spans = []
+    threads = lfunc._head_threads
+    monkeypatch.setattr(lfunc, "_head_threads",
+                        lambda count: spans.append(count) or threads(count))
     result = suite()
     line = result.line()
     print(line)
@@ -33,3 +37,6 @@ def test_acceptance_criterion(suite, record_property):
     # verdict lines land in piped logs despite output capture.
     record_property("criterion_line", line)
     assert result.passed, line
+    # No Hurwitz block of a verification pass is large enough to be
+    # shared among threads: the pass starts none.
+    assert max(spans, default=0) < lfunc._SHARED_SPANS, (line, max(spans))

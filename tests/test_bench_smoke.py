@@ -49,3 +49,17 @@ def test_bench_harness_runs_traced_requests():
     record = json.loads(proc.stdout.splitlines()[-1])
     assert record["verdicts"] == {"slices": None, "lseries": None}
     assert len(record["metrics"]) == 34
+
+
+def test_trace_rounds_counts_a_fixed_number_of_requests():
+    # One `slices` round is six requests, whatever the machine's speed.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "trace_rounds.py"), "--checkout",
+         str(ROOT), "--workload", "slices", "--seed", "0", "--rounds", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["requests"] == 6 and record["failed"] == 0
+    assert record["metrics"]["mds.Z_n_oracle.calls"] == 6
+    assert len(record["metrics"]) == 34

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import cubic_mds
 from cubic_mds import cli, lfunc, sqcount, verify
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 except ImportError:  # the contract test below is then not collected
     given = None
 
@@ -399,13 +400,17 @@ def test_help_exits_zero(capsys):
 # ======================================================================
 
 if given is not None:
-    # A point that parses: near the poles and zeros, at the |Im s| = 50
-    # edge, and far out, where powers and Gamma values overflow.
+    # A point that parses: near the poles and zeros, and at the edges
+    # |Re s| = 50 and |Im s| = 50 of the envelope.
     _GOOD_POINTS = ("0.3", "0.5", "1", "2", "2.5", "3.3", "0", "-1",
-                    "-1.5,0.5", "2.5,1.3", "0.5,49.9", "2,-50", "800",
-                    "-800", "1e300", "-1e300,3")
+                    "-1.5,0.5", "2.5,1.3", "0.5,49.9", "2,-50", "50",
+                    "-50,50")
+    # Far out, where powers and Gamma values overflow: a command given
+    # one of these exits 2.
+    _FAR_POINTS = ("800", "-800", "1e300", "-1e300,3", "50.1")
     _BAD_POINTS = ("nan", "inf", "-inf,0", "2,50.1", "2,nan", "", "junk",
-                   "1,2,3", ",")
+                   "1,2,3", ",", *_FAR_POINTS)
+    _POINT_FLAGS = ("--s", "--s1", "--s2", "--grid")
 
     def _tokens(flag, values):
         """[flag, value] for each of the values."""
@@ -491,21 +496,45 @@ if given is not None:
                                   "count")), max_size=3),
     )
 
+    def _point_values(argv):
+        """The values given to the point options of argv."""
+        values = []
+        for i, token in enumerate(argv):
+            flag, eq, value = token.partition("=")
+            if flag in _POINT_FLAGS:
+                values.append(value if eq else "".join(argv[i + 1:i + 2]))
+        return values
+
     @settings(max_examples=300)
     @given(prefix=st.sampled_from(([], ["--format", "json"])), argv=_ARGV)
+    # q^(-s) and the Hurwitz sum fit in a double, their product does not.
+    @example(prefix=[], argv=["lfun", "--char", "eta:-24999", "--s=-50"])
+    @example(prefix=[], argv=["lfun", "--char", "eta:-24999", "--s=-50,50"])
+    @example(prefix=[], argv=["zn", "5", "--s", "800"])
+    @example(prefix=[], argv=["lfun", "--char", "eta:-5", "--s", "800"])
+    @example(prefix=[], argv=["zeta2", "--s1=800", "--s2=2", "--mmax", "3",
+                              "--nmax", "5"])
     def test_cli_contract(prefix, argv):
-        # Every command exits 0, 1 or 2 without a traceback, and exit 2
-        # comes with exactly one line on stderr.
+        # Every command exits 0, 1 or 2 without a traceback or a numpy
+        # warning, and exit 2 comes with exactly one line on stderr.  A
+        # point past the envelope exits 2.
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
             # `table zn` starts no pool of workers.
             mp.setattr(cli.os, "cpu_count", lambda: 1)
             with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = cli.main(prefix + argv)
         stderr = err.getvalue()
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in stderr, argv
+        numpy_warnings = [str(w.message) for w in caught
+                          if issubclass(w.category, RuntimeWarning)]
+        assert not numpy_warnings, (argv, numpy_warnings)
+        if set(_point_values(argv)) & set(_FAR_POINTS):
+            assert code == 2, (argv, code)
         if code == 2:
             assert stderr.count("\n") == 1 and stderr.endswith("\n"), (
                 argv, stderr)

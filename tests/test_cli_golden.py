@@ -49,6 +49,11 @@ COMMANDS = [
     ["verify", "10"],
     ["zeta2", "--s1", "2.5,0.5", "--s2", "2,0", "--mmax", "300", "--nmax", "100"],
     ["--format", "json", "fe", "5"],
+    # Blocks of many spans, which the CPUs share: 40,000 residues, and
+    # the conductor 22,436 of an `lseries`-sized psi_n.
+    ["lfun", "--char", "eta:-24999", "--s", "0.5,3"],
+    ["fe", "5609", "--grid", "0.4,6", "2.5"],
+    ["zn", "5609", "--s", "2.5,7"],
 ]
 
 SCRIPT = """

@@ -144,6 +144,16 @@ def test_hurwitz_refuses_large_blocks_before_allocating(monkeypatch):
     assert cmath.isfinite(Z_n_closed(5, 2.5 + 50j))
 
 
+def test_dirichlet_L_refuses_a_value_past_the_double_range():
+    # q^(-s) = 99996^50 and the Hurwitz sum are finite, their product is
+    # not; |L(-50, chi)| is about 1e276 by the functional equation.
+    chi = character_eta(24999)
+    for s in (-50.0, -50 + 50j):
+        with pytest.raises(ValueError, match="not finite"):
+            dirichlet_L(chi, s)
+    assert cmath.isfinite(dirichlet_L(character_eta(5), -50.0).value)
+
+
 def test_slice_values_refuse_large_n_before_building_tables(monkeypatch):
     # At s = 2 and s = 0.3 a block has 30 rows, so 2^24 entries allow
     # 559,240 points: phi(4n) = 2 phi(n) for Z_n, and phi(f) for the
@@ -232,15 +242,17 @@ def full_block_hurwitz(s: complex, xs: np.ndarray, deflate: bool):
 
 
 def test_hurwitz_spans_match_the_full_block_bit_for_bit():
-    # Span widths of 273 (30 rows), 256 (32 rows) and 110 (74 rows)
-    # columns, point counts on both sides of a span edge, and a tall
-    # block whose 9,610 rows alone pass the span budget.
+    # Span widths of 1,092 (30 rows), 1,024 (32 rows) and 442 (74 rows)
+    # columns, point counts on both sides of a span edge, a tall block of
+    # 9,610 rows in spans of three columns, and one whose 19,210 rows
+    # alone pass the span budget.
     cases = []
     for s in (0.3 + 2j, 0.5 + 14j, -1.5 + 40j):
         width = lfunc._HEAD_ENTRIES // lfunc._em_shift(s)
         cases += [(s, n) for k in (1, 2) for n in (width * k - 1, width * k,
                                                    width * k + 1)]
-    cases += [(0.5 + 6000j, n) for n in (1, 2, 3, 5)]
+    cases += [(s, n) for s in (0.5 + 6000j, 0.5 + 12000j)
+              for n in (1, 2, 3, 5)]
     for s, n in cases:
         xs = np.arange(1, n + 1) / n
         for deflate in (False, True):
@@ -270,6 +282,152 @@ def test_hurwitz_memory_is_bounded_by_the_span_budget():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+@pytest.fixture
+def head_cpus(monkeypatch):
+    """Set the CPUs a Hurwitz head is shared among: 1 sums every span on
+    the caller.  A count above 1 gets a pool of its own, shut down after
+    the test; each block's `_sum_spans` calls are recorded, one per
+    thread that shared it."""
+    monkeypatch.setattr(lfunc, "_head_pool", None)
+    calls = []
+    real = lfunc._sum_spans
+    monkeypatch.setattr(lfunc, "_sum_spans",
+                        lambda *share: calls.append(share[3]) or real(*share))
+
+    def set_cpus(cpus):
+        if lfunc._head_pool is not None:
+            lfunc._head_pool.shutdown()
+        monkeypatch.setattr(lfunc, "_head_pool", None)
+        monkeypatch.setattr(lfunc, "_head_cpus", cpus)
+        calls.clear()
+        return calls
+
+    yield set_cpus
+    if lfunc._head_pool is not None:
+        lfunc._head_pool.shutdown()
+
+
+def test_threaded_head_matches_serial_bit_for_bit(head_cpus):
+    # 4, 5, 40 and 184 spans of 1,092 columns (30 rows), one with a lone
+    # column joined to its last span; the 200,002 points of
+    # completed_Lambda(200003, s); and tall blocks of 9,610 and 19,210
+    # rows, in 4 spans of 3 or 4 and of 2 or 3 columns.
+    cases = [(2.5 + 0j, 4368), (0.4 + 6j, 4369), (-1.5 + 3j, 5460),
+             (0.5 + 0j, 40 * 1092), (2.0 + 0j, 200002), (0.5 + 6000j, 13),
+             (0.5 + 12000j, 9)]
+    for s, n in cases:
+        xs = np.arange(1, n + 1) / n
+        spans = len(lfunc._column_spans(n, lfunc._em_shift(s)))
+        assert spans in (4, 5, 40, 184)
+        for deflate in (False, True):
+            head_cpus(1)
+            want, want_err = lfunc._hurwitz_sum(s, xs, deflate)
+            for cpus in (2, 3):
+                calls = head_cpus(cpus)
+                got, err = lfunc._hurwitz_sum(s, xs, deflate)
+                assert len(calls) == min(cpus, spans // 2), (s, n, cpus)
+                assert got.tobytes() == want.tobytes(), (s, n, deflate, cpus)
+                assert err == want_err, (s, n, deflate, cpus)
+
+
+def test_small_blocks_and_one_cpu_start_no_thread(head_cpus):
+    # Under four spans, or with one CPU, the caller sums alone.
+    head_cpus(2)
+    assert lfunc._head_threads(3) == (1, None)
+    assert lfunc._head_threads(5)[0] == 2
+    head_cpus(1)
+    assert lfunc._head_threads(733) == (1, None)
+    assert lfunc._head_pool is None
+
+
+def test_threaded_head_keeps_the_callers_error_state(head_cpus):
+    # (k + x)^400 overflows for k >= 6.  The 21,840 points make 20 spans,
+    # so the pool thread sums some of them, and a pool thread that kept
+    # numpy's default state would warn where the caller ignores.
+    import warnings
+
+    xs = np.arange(1, 21841) / 21840
+    for cpus in (1, 2):
+        calls = head_cpus(cpus)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                lfunc._hurwitz_sum(-400.0 + 0j, xs, False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="ignore"):
+                values, _ = lfunc._hurwitz_sum(-400.0 + 0j, xs, False)
+        assert not caught, [str(w.message) for w in caught]
+        assert len(calls) == 2 * cpus
+        assert not np.isfinite(values).any()
+
+
+def test_slices_round_starts_no_thread(monkeypatch):
+    # Every block of a `slices` round of the benchmark (`zn` at its
+    # default cutoffs, odd squarefree n < 400) stays under four spans.
+    import random
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    spans = []
+    threads = lfunc._head_threads
+    monkeypatch.setattr(lfunc, "_head_threads",
+                        lambda count: spans.append(count) or threads(count))
+    slices = workloads.WORKLOADS["slices"]
+    lfunc._hurwitz_memo.cache_clear()
+    for request in slices.rounds(random.Random(7)):
+        slices.call(request)
+    assert spans and max(spans) < lfunc._SHARED_SPANS, spans
+
+
+def _child_block(queue):
+    xs = np.arange(1, 5001) / 5000
+    queue.put((lfunc._head_threads(8)[0],
+               lfunc._hurwitz_sum(0.4 + 6j, xs, True)[0].tobytes()))
+
+
+def test_forked_children_evaluate_after_a_threaded_block(head_cpus):
+    import multiprocessing
+    import os
+    import time
+
+    xs = np.arange(1, 5001) / 5000  # 5 spans
+    head_cpus(2)
+    want = lfunc._hurwitz_sum(0.4 + 6j, xs, True)[0].tobytes()
+    assert lfunc._head_pool is not None
+    # A child that multiprocessing forks sums alone, and returns.
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_child_block, args=(queue,))
+    child.start()
+    try:
+        threads, got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert threads == 1 and got == want
+    # A plain fork drops the pool, whose threads it lacks, and returns.
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = lfunc._hurwitz_sum(0.4 + 6j, xs, True)[0].tobytes()
+            code = 0 if got == want else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not return")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # ======================================================================
