@@ -177,8 +177,13 @@ _HEAD_ENTRIES = 2**15
 # A block of this many spans or more shares them between the caller and
 # a thread pool (`_head_threads`); numpy releases the interpreter lock
 # inside the power, sum and abs of a span.  No block of a verification
-# pass, nor of `zn` at n below 400, has that many.
-_SHARED_SPANS = 4
+# pass, nor of `zn` at n below 400, has that many.  Two threads gain
+# least on blocks of four to seven spans, which split into few shares,
+# and there they cost the most steadiness: with sharing from four spans
+# on, eight 20 s `lseries` runs on two CPUs spread over an interquartile
+# range of 5.6 ops/s and 7.7 ms of p90 latency; from eight on, over
+# 2.8 ops/s and 3.1 ms, at a median p90 of 47 ms against 46.
+_SHARED_SPANS = 8
 
 # Criterion 8 asks for the same block (same s, points and deflation)
 # once per character mod q, since the characters share their units.
@@ -354,9 +359,13 @@ def _hurwitz_sum(
     finally:
         for _ in shared:  # after a failure the others stop after one span
             pass
-        for other in others:
-            other.exception()  # waits: the threads write into head
-    for other in others:
+        # A thread that has not started, its CPU busy elsewhere, is
+        # dropped; one that has may be writing into head, and is waited
+        # for.
+        started = [other for other in others if not other.cancel()]
+        for other in started:
+            other.exception()
+    for other in started:
         other.result()
     mass = float(np.max(column_mass))
     w = shift + xs

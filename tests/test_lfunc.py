@@ -310,17 +310,17 @@ def head_cpus(monkeypatch):
 
 
 def test_threaded_head_matches_serial_bit_for_bit(head_cpus):
-    # 4, 5, 40 and 184 spans of 1,092 columns (30 rows), one with a lone
+    # 8, 9, 40 and 184 spans of 1,092 columns (30 rows), one with a lone
     # column joined to its last span; the 200,002 points of
     # completed_Lambda(200003, s); and tall blocks of 9,610 and 19,210
-    # rows, in 4 spans of 3 or 4 and of 2 or 3 columns.
-    cases = [(2.5 + 0j, 4368), (0.4 + 6j, 4369), (-1.5 + 3j, 5460),
-             (0.5 + 0j, 40 * 1092), (2.0 + 0j, 200002), (0.5 + 6000j, 13),
-             (0.5 + 12000j, 9)]
+    # rows, in 8 spans of 3 or 4 and of 2 or 3 columns.
+    cases = [(2.5 + 0j, 8736), (0.4 + 6j, 8737), (-1.5 + 3j, 9828),
+             (0.5 + 0j, 40 * 1092), (2.0 + 0j, 200002), (0.5 + 6000j, 25),
+             (0.5 + 12000j, 17)]
     for s, n in cases:
         xs = np.arange(1, n + 1) / n
         spans = len(lfunc._column_spans(n, lfunc._em_shift(s)))
-        assert spans in (4, 5, 40, 184)
+        assert spans in (8, 9, 40, 184)
         for deflate in (False, True):
             head_cpus(1)
             want, want_err = lfunc._hurwitz_sum(s, xs, deflate)
@@ -333,13 +333,39 @@ def test_threaded_head_matches_serial_bit_for_bit(head_cpus):
 
 
 def test_small_blocks_and_one_cpu_start_no_thread(head_cpus):
-    # Under four spans, or with one CPU, the caller sums alone.
+    # Under eight spans, or with one CPU, the caller sums alone.
     head_cpus(2)
-    assert lfunc._head_threads(3) == (1, None)
-    assert lfunc._head_threads(5)[0] == 2
+    assert lfunc._head_threads(7) == (1, None)
+    assert lfunc._head_threads(8)[0] == 2
     head_cpus(1)
     assert lfunc._head_threads(733) == (1, None)
     assert lfunc._head_pool is None
+
+
+def test_caller_does_not_wait_for_a_thread_that_never_started(head_cpus):
+    # The pool's one thread is held busy, so the share submitted for the
+    # block cannot start: the caller sums every span, drops that share
+    # and returns with the serial bits instead of waiting for the thread.
+    import threading
+    import time
+
+    xs = np.arange(1, 9001) / 9000  # 9 spans
+    head_cpus(1)
+    want, want_err = lfunc._hurwitz_sum(0.4 + 6j, xs, True)
+    calls = head_cpus(2)
+    assert lfunc._head_threads(9)[0] == 2
+    gate = threading.Event()
+    busy = lfunc._head_pool.submit(gate.wait, 60)
+    try:
+        start = time.monotonic()
+        got, err = lfunc._hurwitz_sum(0.4 + 6j, xs, True)
+        elapsed = time.monotonic() - start
+    finally:
+        gate.set()
+    assert busy.result(timeout=60)
+    assert elapsed < 30, elapsed
+    assert len(calls) == 1
+    assert got.tobytes() == want.tobytes() and err == want_err
 
 
 def test_threaded_head_keeps_the_callers_error_state(head_cpus):
@@ -384,7 +410,7 @@ def test_slices_round_starts_no_thread(monkeypatch):
 
 
 def _child_block(queue):
-    xs = np.arange(1, 5001) / 5000
+    xs = np.arange(1, 9001) / 9000
     queue.put((lfunc._head_threads(8)[0],
                lfunc._hurwitz_sum(0.4 + 6j, xs, True)[0].tobytes()))
 
@@ -394,7 +420,7 @@ def test_forked_children_evaluate_after_a_threaded_block(head_cpus):
     import os
     import time
 
-    xs = np.arange(1, 5001) / 5000  # 5 spans
+    xs = np.arange(1, 9001) / 9000  # 9 spans
     head_cpus(2)
     want = lfunc._hurwitz_sum(0.4 + 6j, xs, True)[0].tobytes()
     assert lfunc._head_pool is not None
