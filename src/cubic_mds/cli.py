@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from multiprocessing import Pool
 
-from . import arith, forms, mds, sqcount, verify
+from . import arith, forms, lfunc, mds, sqcount, verify
 from .errors import OracleScaleError, PoleError
 from .euler import local_factor_closed, local_factor_oracle
 from .lfunc import (
@@ -99,6 +98,11 @@ _MAX_ZETA2_M, _MAX_ZETA2_N = 4_000, 2_500
 _MAX_EULER_K = 1_000_000
 _MAX_FORMS_M, _MAX_FORMS_N = 1_000, 500
 _MAX_TABLE_N, _MAX_TABLE_M = 1_000, 1_000
+
+
+def _record(name: str, z: complex, **extra) -> dict:
+    """A complex result as a JSON record: its name, re, im and `extra`."""
+    return {"name": name, "re": z.real, "im": z.imag, **extra}
 
 
 def _point_help(flag: str) -> str:
@@ -236,10 +240,7 @@ def _cmd_euler(args) -> int:
         f"oracle  = {_cx(oracle)} (K={args.k})",
         f"rel_err = {_g(cmp0.rel_err)}",
     ]
-    results = [
-        {"name": "closed", "re": closed.real, "im": closed.imag},
-        {"name": "oracle", "re": oracle.real, "im": oracle.imag},
-    ]
+    results = [_record("closed", closed), _record("oracle", oracle)]
     return _report(args, lines, results, [cmp0])
 
 
@@ -253,7 +254,7 @@ def _cmd_zn(args) -> int:
         print("comparisons skipped: the series and the product need Re(s) > 1",
               file=sys.stderr)
         return _report(args, [f"closed  = {_cx(closed)}"],
-                       [{"name": "closed", "re": closed.real, "im": closed.imag}])
+                       [_record("closed", closed)])
     oracle = mds.Z_n_oracle(args.n, s, args.cutoff)
     product = mds.Z_n_euler_product(args.n, s, args.prime_cutoff)
     spec = mds.TruncationSpec(
@@ -268,11 +269,8 @@ def _cmd_zn(args) -> int:
         f"rel_err closed/oracle  = {_g(cmp_oracle.rel_err)}",
         f"rel_err closed/product = {_g(cmp_product.rel_err)}",
     ]
-    results = [
-        {"name": "closed", "re": closed.real, "im": closed.imag},
-        {"name": "oracle", "re": oracle.real, "im": oracle.imag},
-        {"name": "product", "re": product.real, "im": product.imag},
-    ]
+    results = [_record("closed", closed), _record("oracle", oracle),
+               _record("product", product)]
     return _report(args, lines, results, [cmp_oracle, cmp_product])
 
 
@@ -281,9 +279,7 @@ def _cmd_lfun(args) -> int:
     chi = parse_character(args.char)
     val = dirichlet_L(chi, s)
     results = [
-        {"name": "hurwitz", "re": val.value.real, "im": val.value.imag,
-         "error_estimate": val.error_estimate},
-    ]
+        _record("hurwitz", val.value, error_estimate=val.error_estimate)]
     lines = [
         f"L(s, chi) = {_cx(val.value)} (modulus {chi.modulus}, "
         f"conductor {chi.conductor})",
@@ -297,10 +293,8 @@ def _cmd_lfun(args) -> int:
         )
         cmp0 = mds.SeriesComparison.compare(val.value, direct.value, spec)
         comparisons.append(cmp0)
-        results.append(
-            {"name": "direct", "re": direct.value.real, "im": direct.value.imag,
-             "error_estimate": direct.error_estimate}
-        )
+        results.append(_record("direct", direct.value,
+                               error_estimate=direct.error_estimate))
         lines.append(f"direct    = {_cx(direct.value)} (200000 terms)")
         lines.append(f"rel_err   = {_g(cmp0.rel_err)}")
     return _report(args, lines, results, comparisons)
@@ -323,10 +317,7 @@ def _cmd_zeta2(args) -> int:
         f"Z_coeff  = {_cx(zc)}",
         f"rel_err  = {_g(cmp_routes.rel_err)} (tol 1e-13)",
     ]
-    results = [
-        {"name": "Z_direct", "re": zd.real, "im": zd.imag},
-        {"name": "Z_coeff", "re": zc.real, "im": zc.imag},
-    ]
+    results = [_record("Z_direct", zd), _record("Z_coeff", zc)]
     if s1.real > 1.5:
         # Tolerance for the decomposition follows the inner tail bound.
         tol = max(1e-8, 10.0 * mds.coefficient_tail_bound(args.mmax, s1.real))
@@ -335,14 +326,8 @@ def _cmd_zeta2(args) -> int:
         )
         cmp_dec = mds.decomposition_check(s1, s2, dspec)
         comparisons.append(cmp_dec)
-        results.append(
-            {"name": "decomposition_lhs", "re": cmp_dec.lhs.real,
-             "im": cmp_dec.lhs.imag}
-        )
-        results.append(
-            {"name": "decomposition_rhs", "re": cmp_dec.rhs.real,
-             "im": cmp_dec.rhs.imag}
-        )
+        results += [_record("decomposition_lhs", cmp_dec.lhs),
+                    _record("decomposition_rhs", cmp_dec.rhs)]
         lines.append(
             f"decomposition rel_err = {_g(cmp_dec.rel_err)} (tol {_g(tol)})"
         )
@@ -399,8 +384,9 @@ def _cmd_table(args) -> int:
     s = parse_complex(args.s)
     if args.kind == "zn":
         tasks = [(n, s, args.cutoff) for n in arith.odd_squarefree(args.nmax)]
-        # Rows are independent; one worker per core, assembled in order.
-        workers = min(os.cpu_count() or 1, len(tasks))
+        # Rows are independent; one worker per CPU this process may run
+        # on, assembled in order.
+        workers = min(lfunc._usable_cpus(), len(tasks))
         if workers <= 1:
             rows = [_zn_row(t) for t in tasks]
         else:

@@ -216,19 +216,25 @@ def _column_spans(points: int, rows: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-# The CPUs the head of a block is shared among, and the pool of threads
-# that takes all but the caller's share: both are made on the first
-# block of _SHARED_SPANS spans or more, and dropped in a forked child,
-# which has none of its parent's threads.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the CPU
+    count where the platform has no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The pool of threads that takes all but the caller's share of a head:
+# made on the first block of _SHARED_SPANS spans or more, and dropped in
+# a forked child, which has none of its parent's threads.
 _head_lock = threading.Lock()
-_head_cpus: int | None = None
 _head_pool = None
 
 
 def _forget_head_pool() -> None:
-    global _head_lock, _head_cpus, _head_pool
+    global _head_lock, _head_pool
     _head_lock = threading.Lock()
-    _head_cpus = _head_pool = None
+    _head_pool = None
 
 
 os.register_at_fork(after_in_child=_forget_head_pool)
@@ -239,32 +245,22 @@ def _head_threads(spans: int):
     the caller included, and the pool that runs the others (None when
     the caller sums alone).
 
-    Every CPU this process may run on, at most one per two spans; one
-    thread for fewer than _SHARED_SPANS spans, and in a process that
-    multiprocessing started, so that the workers of `table zn` start no
-    threads of their own.
+    Every CPU this process may run on (`_usable_cpus`), at most one per
+    two spans; one thread for fewer than _SHARED_SPANS spans.
     """
-    global _head_cpus, _head_pool
+    global _head_pool
     if spans < _SHARED_SPANS:
         return 1, None
+    cpus = _usable_cpus()
+    threads = min(cpus, spans // 2)
+    if threads < 2:
+        return 1, None
     with _head_lock:
-        if _head_cpus is None:
-            import multiprocessing
-
-            if multiprocessing.parent_process() is not None:
-                _head_cpus = 1
-            elif hasattr(os, "sched_getaffinity"):
-                _head_cpus = len(os.sched_getaffinity(0))
-            else:
-                _head_cpus = os.cpu_count() or 1
-        threads = min(_head_cpus, spans // 2)
-        if threads < 2:
-            return 1, None
         if _head_pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
             _head_pool = ThreadPoolExecutor(
-                _head_cpus - 1, thread_name_prefix="hurwitz-head")
+                cpus - 1, thread_name_prefix="hurwitz-head")
         return threads, _head_pool
 
 

@@ -67,6 +67,17 @@ def scaled_budget(reference_seconds: float) -> float:
     return reference_seconds * 4.0 / min(4, cores)
 
 
+def _worst(errors, where: str) -> tuple[float, str]:
+    """The largest error of the (error, fields) pairs `errors`, and
+    `where` formatted with the fields of its first occurrence; "" when
+    no error exceeds 0."""
+    worst, at = 0.0, None
+    for err, fields in errors:
+        if err > worst:
+            worst, at = err, fields
+    return worst, "" if at is None else where.format(*at)
+
+
 SUITES: list[Callable[[], CriterionResult]] = []
 
 
@@ -201,16 +212,11 @@ def criterion_form_bijection() -> tuple[bool, str]:
 def criterion_local_factors() -> tuple[bool, str]:
     """Closed local factor vs 60-term local series, rel <= 1e-10,
     s = 2, for every prime p <= 53 and every n <= 400."""
-    worst = 0.0
-    worst_at = ""
-    for p in arith.primes_up_to(53):
-        for n in range(1, 401):
-            closed = local_factor_closed(p, n, 2.0)
-            oracle = local_factor_oracle(p, n, 2.0, K=60)
-            rel = mds.rel_err(closed, oracle)
-            if rel > worst:
-                worst = rel
-                worst_at = f"(p={p}, n={n})"
+    worst, worst_at = _worst((
+        (mds.rel_err(local_factor_closed(p, n, 2.0),
+                     local_factor_oracle(p, n, 2.0, K=60)), (p, n))
+        for p in arith.primes_up_to(53) for n in range(1, 401)
+    ), "(p={}, n={})")
     ok = worst <= 1e-10
     detail = f"16 primes x 400 n, worst rel {worst:.3e} at {worst_at}"
     return ok, detail
@@ -225,21 +231,17 @@ def criterion_local_factors() -> tuple[bool, str]:
 def criterion_zn_closed() -> tuple[bool, str]:
     """Closed inner series vs 1e5-term truncation at s = 2.5,
     rel <= 1e-4 for every odd squarefree n <= 60, zeros exact."""
-    worst = 0.0
-    worst_at = ""
+    rels = []
     zero_bad = 0
     ns = arith.odd_squarefree(60)
     for n in ns:
         closed = Z_n_closed(n, 2.5)
         oracle = mds.Z_n_oracle(n, 2.5, 100000)
         if n % 3 == 1:
-            if closed != 0 or oracle != 0:
-                zero_bad += 1
-            continue
-        rel = mds.rel_err(closed, oracle)
-        if rel > worst:
-            worst = rel
-            worst_at = f"n={n}"
+            zero_bad += closed != 0 or oracle != 0
+        else:
+            rels.append((mds.rel_err(closed, oracle), (n,)))
+    worst, worst_at = _worst(rels, "n={}")
     ok = worst <= 1e-4 and zero_bad == 0
     detail = (
         f"{len(ns)} odd squarefree n, worst rel {worst:.3e} at {worst_at}, "
@@ -340,14 +342,12 @@ def criterion_gauss_sums() -> tuple[bool, str]:
 def criterion_functional_equation() -> tuple[bool, str]:
     """|Lambda(1-s) - Lambda(s)| / |Lambda(s)| <= 1e-8 for
     n in {1, 5, 7, 11, 13, 17} at s in {0.3, 0.75, 0.6+2i, 0.5+5i}."""
-    worst = 0.0
-    worst_at = ""
-    for n in (1, 5, 7, 11, 13, 17):
-        comps = mds.functional_equation_check(n, [0.3, 0.75, 0.6 + 2j, 0.5 + 5j])
-        for s, c in zip((0.3, 0.75, 0.6 + 2j, 0.5 + 5j), comps):
-            if c.rel_err > worst:
-                worst = c.rel_err
-                worst_at = f"(n={n}, s={s})"
+    grid = (0.3, 0.75, 0.6 + 2j, 0.5 + 5j)
+    worst, worst_at = _worst((
+        (c.rel_err, (n, s))
+        for n in (1, 5, 7, 11, 13, 17)
+        for s, c in zip(grid, mds.functional_equation_check(n, grid))
+    ), "(n={}, s={})")
     ok = worst <= 1e-8
     detail = f"24 grid points, worst rel {worst:.3e} at {worst_at}"
     return ok, detail
@@ -371,23 +371,28 @@ def criterion_squarefree_l_identity() -> tuple[bool, str]:
     w = 2.5
     terms = 20000
     bs = range(1, 31)
-    worst = 0.0
-    worst_at = ""
     combos = 0
-    for q in range(1, 61):
-        for psi in all_characters_mod(q):
-            psi_sq = DirichletCharacter(q, [psi(k) ** 2 for k in range(q)])
-            l2 = dirichlet_L(psi_sq, 2 * w).value
-            l1 = dirichlet_L(psi, w).value
-            lbs = L_squarefree_restricted_table(psi, bs, w, terms).tolist()
-            for b, lb in zip(bs, lbs):
-                lhs = l2 * lb
-                rhs = l1 * lb_finite_product(psi, b, w)
-                rel = mds.rel_err(lhs, rhs)
-                combos += 1
-                if rel > worst:
-                    worst = rel
-                    worst_at = f"(q={q}, b={b})"
+
+    def rels():
+        # Pairs are made as they are folded: a list of all 33,060 would
+        # wake the cyclic garbage collector, about 15 ms a pass.
+        nonlocal combos
+        for q in range(1, 61):
+            for psi in all_characters_mod(q):
+                # psi^2 from the table with the values of Python's complex
+                # `**`; numpy's complex product moves last bits.
+                re, im = psi.table.real, psi.table.imag
+                psi_sq = DirichletCharacter(
+                    q, re * re - im * im + 1j * (re * im + im * re))
+                l2 = dirichlet_L(psi_sq, 2 * w).value
+                l1 = dirichlet_L(psi, w).value
+                lbs = L_squarefree_restricted_table(psi, bs, w, terms).tolist()
+                combos += len(lbs)
+                for b, lb in zip(bs, lbs):
+                    rhs = l1 * lb_finite_product(psi, b, w)
+                    yield mds.rel_err(l2 * lb, rhs), (q, b)
+
+    worst, worst_at = _worst(rels(), "(q={}, b={})")
     ok = worst <= 1e-6
     detail = f"{combos} (psi, b) combos, worst rel {worst:.3e} at {worst_at}"
     return ok, detail

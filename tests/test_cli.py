@@ -178,20 +178,64 @@ def test_zeta2_command(capsys):
 # ======================================================================
 
 
-def test_table_zn_deterministic_across_jobs(capsys, monkeypatch):
-    # The pool is sized from the core count: 1 runs serially, 3 starts
-    # three workers for the four rows (n = 1, 3, 5, 7).
-    args = ["table", "zn", "--s", "2.5", "--nmax", "9", "--cutoff", "4000"]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    assert cli.main(args) == 0
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the pools `table zn` starts."""
+    started = []
+    real = cli.Pool
+    monkeypatch.setattr(cli, "Pool",
+                        lambda workers: started.append(workers) or real(workers))
+    return started
+
+
+TABLE_ZN = ["table", "zn", "--s", "2.5", "--nmax", "9", "--cutoff", "4000"]
+
+
+def test_table_zn_deterministic_across_jobs(capsys, monkeypatch, pools):
+    # The pool is sized from the CPUs: 1 runs serially, 3 starts three
+    # workers for the four rows (n = 1, 3, 5, 7).
+    monkeypatch.setattr(lfunc, "_usable_cpus", lambda: 1)
+    assert cli.main(TABLE_ZN) == 0
     first = capsys.readouterr().out
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    assert cli.main(args) == 0
+    monkeypatch.setattr(lfunc, "_usable_cpus", lambda: 3)
+    assert cli.main(TABLE_ZN) == 0
     second = capsys.readouterr().out
+    assert pools == [3]
     assert first == second
     assert first.splitlines()[0] == (
         "n,closed_re,closed_im,oracle_re,oracle_im,rel_err"
     )
+
+
+def test_table_zn_workers_follow_the_affinity_mask(capsys, monkeypatch, pools):
+    # A process pinned to one CPU of a large host runs its rows serially,
+    # not on one worker per host CPU, and prints the same rows.
+    assert cli.main(TABLE_ZN) == 0
+    want = capsys.readouterr().out
+    pools.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli.main(TABLE_ZN) == 0
+    assert capsys.readouterr().out == want
+    assert pools == []
+
+
+def test_table_zn_blocks_are_never_shared(capsys, monkeypatch):
+    # A `table zn` row is summed by its worker alone: at the ceilings
+    # (phi(4 * 997) = 1,992 points, |Im s| = 50) its block has 6 spans,
+    # under the 8 from which a head is shared among threads.
+    assert len(lfunc._column_spans(1992, lfunc._em_shift(50j))) == 6
+    spans = []
+    threads = lfunc._head_threads
+    monkeypatch.setattr(lfunc, "_head_threads",
+                        lambda count: spans.append(count) or threads(count))
+    monkeypatch.setattr(lfunc, "_usable_cpus", lambda: 1)  # rows in this process
+    args = ["table", "zn", "--s", "0.5,50", "--nmax", "15", "--cutoff", "100"]
+    assert cli.main(args) == 0
+    # The largest block of any table: Z_983 on phi(4 * 983) = 1,964
+    # points (Z_997 is 0, since 997 = 1 mod 3).
+    cli._zn_row((983, 0.5 + 50j, 100))
+    assert max(spans) == 6, spans
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -277,7 +321,7 @@ def test_cutoff_ceilings(monkeypatch, capsys):
     monkeypatch.setattr(cli.forms, "enumerate_representatives", refused)
     monkeypatch.setattr(cli.sqcount, "coefficient_sieve", refused)
     # `table zn` starts no pool of workers.
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(lfunc, "_usable_cpus", lambda: 1)
     for argv in (
         ["zn", "5", "--s", "2", "--cutoff", "10000000000"],
         ["zn", "5", "--s", "2", "--prime-cutoff", "10000000000"],
@@ -521,7 +565,7 @@ if given is not None:
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
             # `table zn` starts no pool of workers.
-            mp.setattr(cli.os, "cpu_count", lambda: 1)
+            mp.setattr(lfunc, "_usable_cpus", lambda: 1)
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err), \
                     warnings.catch_warnings(record=True) as caught:

@@ -300,7 +300,7 @@ def head_cpus(monkeypatch):
         if lfunc._head_pool is not None:
             lfunc._head_pool.shutdown()
         monkeypatch.setattr(lfunc, "_head_pool", None)
-        monkeypatch.setattr(lfunc, "_head_cpus", cpus)
+        monkeypatch.setattr(lfunc, "_usable_cpus", lambda: cpus)
         calls.clear()
         return calls
 
@@ -411,8 +411,7 @@ def test_slices_round_starts_no_thread(monkeypatch):
 
 def _child_block(queue):
     xs = np.arange(1, 9001) / 9000
-    queue.put((lfunc._head_threads(8)[0],
-               lfunc._hurwitz_sum(0.4 + 6j, xs, True)[0].tobytes()))
+    queue.put(lfunc._hurwitz_sum(0.4 + 6j, xs, True)[0].tobytes())
 
 
 def test_forked_children_evaluate_after_a_threaded_block(head_cpus):
@@ -424,19 +423,20 @@ def test_forked_children_evaluate_after_a_threaded_block(head_cpus):
     head_cpus(2)
     want = lfunc._hurwitz_sum(0.4 + 6j, xs, True)[0].tobytes()
     assert lfunc._head_pool is not None
-    # A child that multiprocessing forks sums alone, and returns.
+    # A child that multiprocessing forks makes a pool of its own, and
+    # returns the same bits.
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
     child = context.Process(target=_child_block, args=(queue,))
     child.start()
     try:
-        threads, got = queue.get(timeout=60)
+        got = queue.get(timeout=60)
     finally:
         child.join(timeout=60)
         if child.is_alive():
             child.kill()
     assert not child.is_alive() and child.exitcode == 0
-    assert threads == 1 and got == want
+    assert got == want
     # A plain fork drops the pool, whose threads it lacks, and returns.
     pid = os.fork()
     if pid == 0:
