@@ -54,6 +54,12 @@ COMMANDS = [
     ["lfun", "--char", "eta:-24999", "--s", "0.5,3"],
     ["fe", "5609", "--grid", "0.4,6", "2.5"],
     ["zn", "5609", "--s", "2.5,7"],
+    # The JSON records of count, euler, zeta2 and lfun's direct route.
+    ["--format", "json", "count", "45", "19"],
+    ["--format", "json", "euler", "3", "7", "--s", "2,0", "--k", "40"],
+    ["--format", "json", "zeta2", "--s1", "2.5,0", "--s2", "2,0",
+     "--mmax", "300", "--nmax", "50"],
+    ["--format", "json", "lfun", "--char", "mod24:5", "--s", "2.5"],
 ]
 
 SCRIPT = """
