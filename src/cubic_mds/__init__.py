@@ -59,7 +59,6 @@ from .lfunc import (
 )
 from .mds import (
     SeriesComparison,
-    TruncationSpec,
     Z_coeff,
     Z_direct,
     Z_n_euler_product,
@@ -109,7 +108,6 @@ __all__ = [
     "psi_n_character",
     "riemann_zeta",
     "SeriesComparison",
-    "TruncationSpec",
     "Z_coeff",
     "Z_direct",
     "Z_n_euler_product",

@@ -179,7 +179,7 @@ def _report(
             "command": args.command,
             "parameters": parameters,
             "results": results,
-            "comparisons": [json.loads(c.to_json()) for c in comparisons],
+            "comparisons": [c.record() for c in comparisons],
             "status": status,
         }
         print(json.dumps(record, sort_keys=True))
@@ -209,11 +209,8 @@ def _cmd_count(args) -> int:
     else:
         lines.append(f"C({m}, {n}) = {brute} (exhaustive)")
         results.append({"name": "exhaustive", "value": brute})
-        spec = mds.TruncationSpec(
-            m_cutoff=m, n_cutoff=max(abs(n), 1), tolerance=1e-15
-        )
         comparisons.append(
-            mds.SeriesComparison.compare(complex(fast), complex(brute), spec)
+            mds.SeriesComparison.compare(complex(fast), complex(brute), 1e-15)
         )
     return _report(args, lines, results, comparisons)
 
@@ -233,8 +230,7 @@ def _cmd_euler(args) -> int:
     s = parse_complex(args.s)
     closed = local_factor_closed(args.p, args.n, s)
     oracle = local_factor_oracle(args.p, args.n, s, args.k)
-    spec = mds.TruncationSpec(m_cutoff=1, n_cutoff=args.n, tolerance=args.tol)
-    cmp0 = mds.SeriesComparison.compare(closed, oracle, spec)
+    cmp0 = mds.SeriesComparison.compare(closed, oracle, args.tol)
     lines = [
         f"closed  = {_cx(closed)}",
         f"oracle  = {_cx(oracle)} (K={args.k})",
@@ -257,11 +253,8 @@ def _cmd_zn(args) -> int:
                        [_record("closed", closed)])
     oracle = mds.Z_n_oracle(args.n, s, args.cutoff)
     product = mds.Z_n_euler_product(args.n, s, args.prime_cutoff)
-    spec = mds.TruncationSpec(
-        m_cutoff=args.cutoff, n_cutoff=args.n, tolerance=args.tol
-    )
-    cmp_oracle = mds.SeriesComparison.compare(closed, oracle, spec)
-    cmp_product = mds.SeriesComparison.compare(closed, product, spec)
+    cmp_oracle = mds.SeriesComparison.compare(closed, oracle, args.tol)
+    cmp_product = mds.SeriesComparison.compare(closed, product, args.tol)
     lines = [
         f"closed  = {_cx(closed)}",
         f"oracle  = {_cx(oracle)} (cutoff={args.cutoff})",
@@ -287,15 +280,14 @@ def _cmd_lfun(args) -> int:
     ]
     comparisons: list[mds.SeriesComparison] = []
     if s.real > 1.5:
-        direct = dirichlet_L_direct(chi, s, 200000)
-        spec = mds.TruncationSpec(
-            m_cutoff=200000, n_cutoff=chi.modulus, tolerance=1e-8
-        )
-        cmp0 = mds.SeriesComparison.compare(val.value, direct.value, spec)
+        terms = 200000
+        direct = dirichlet_L_direct(chi, s, terms)
+        cmp0 = mds.SeriesComparison.compare(val.value, direct.value, 1e-8)
         comparisons.append(cmp0)
         results.append(_record("direct", direct.value,
-                               error_estimate=direct.error_estimate))
-        lines.append(f"direct    = {_cx(direct.value)} (200000 terms)")
+                               error_estimate=direct.error_estimate,
+                               terms=terms))
+        lines.append(f"direct    = {_cx(direct.value)} ({terms} terms)")
         lines.append(f"rel_err   = {_g(cmp0.rel_err)}")
     return _report(args, lines, results, comparisons)
 
@@ -305,12 +297,9 @@ def _cmd_zeta2(args) -> int:
     _ceiling("--nmax", args.nmax, _MAX_ZETA2_N)
     s1 = parse_complex(args.s1)
     s2 = parse_complex(args.s2)
-    spec = mds.TruncationSpec(
-        m_cutoff=args.mmax, n_cutoff=args.nmax, tolerance=1e-13
-    )
-    zd = mds.Z_direct(s1, s2, spec)
-    zc = mds.Z_coeff(s1, s2, spec)
-    cmp_routes = mds.SeriesComparison.compare(zd, zc, spec)
+    zd = mds.Z_direct(s1, s2, args.mmax, args.nmax)
+    zc = mds.Z_coeff(s1, s2, args.mmax, args.nmax)
+    cmp_routes = mds.SeriesComparison.compare(zd, zc, 1e-13)
     comparisons = [cmp_routes]
     lines = [
         f"Z_direct = {_cx(zd)}",
@@ -321,10 +310,7 @@ def _cmd_zeta2(args) -> int:
     if s1.real > 1.5:
         # Tolerance for the decomposition follows the inner tail bound.
         tol = max(1e-8, 10.0 * mds.coefficient_tail_bound(args.mmax, s1.real))
-        dspec = mds.TruncationSpec(
-            m_cutoff=args.mmax, n_cutoff=args.nmax, tolerance=tol
-        )
-        cmp_dec = mds.decomposition_check(s1, s2, dspec)
+        cmp_dec = mds.decomposition_check(s1, s2, args.mmax, args.nmax, tol)
         comparisons.append(cmp_dec)
         results += [_record("decomposition_lhs", cmp_dec.lhs),
                     _record("decomposition_rhs", cmp_dec.rhs)]

@@ -44,9 +44,10 @@ def local_factor_oracle(p: int, n: int, s: complex, K: int = 60) -> complex:
     """Truncated defining sum at prime p, slice index n, point s: K+1 terms.
 
     Converges for Re(s) > 1/2; the tail after K terms is geometric of
-    ratio p^(1/2 - Re s).  ValueError when K < 1.
+    ratio p^(1/2 - Re s).  ValueError when s is not finite or K < 1.
     """
     _check_domain(p, n)
+    _finite(s)
     if K < 1:
         raise ValueError(f"truncation order must satisfy K >= 1, got {K}")
     logp = math.log(p)

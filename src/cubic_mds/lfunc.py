@@ -859,8 +859,11 @@ def dirichlet_L_direct(
     Useful only for Re(s) comfortably > 1.  The error estimate is the
     Abel-summation tail bound (character partial sums bounded by q) for
     non-principal chi, and the integral tail of zeta for principal chi.
+    ValueError when s is not finite or terms < 1.
     """
-    s = complex(s)
+    s = _finite(complex(s))
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
     q = chi.modulus
     sigma = s.real
     vals = chi.table.astype(complex)[np.arange(1, terms + 1) % q]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -44,25 +43,11 @@ from .lfunc import (
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Cutoffs and tolerance for one truncated evaluation.
-
-    m_cutoff bounds the inner (form/coefficient) index, n_cutoff the
-    outer index, and tolerance the acceptance threshold a comparison is
-    judged against.  The tolerance should be justified by the tail
-    bound (see coefficient_tail_bound) at the point of use.
-    """
-
-    m_cutoff: int
-    n_cutoff: int
-    tolerance: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.m_cutoff < 1 or self.n_cutoff < 1:
-            raise ValueError("TruncationSpec cutoffs must be positive")
-        if not self.tolerance > 0:
-            raise ValueError("TruncationSpec tolerance must be positive")
+def _check_cutoffs(**cutoffs: int) -> None:
+    """ValueError unless every named cutoff is >= 1."""
+    for name, value in cutoffs.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def rel_err(a: complex, b: complex) -> float:
@@ -72,42 +57,45 @@ def rel_err(a: complex, b: complex) -> float:
 
 @dataclass(frozen=True)
 class SeriesComparison:
-    """Two truncated evaluations of one quantity, with their distance."""
+    """Two evaluations of one quantity, their distance, and the relative
+    tolerance it is judged against.  The tolerance should be justified
+    by the tail bound (see coefficient_tail_bound) at the point of use;
+    ValueError unless it is > 0."""
 
     lhs: complex
     rhs: complex
     abs_err: float
     rel_err: float
-    spec: TruncationSpec
+    tolerance: float
+
+    def __post_init__(self) -> None:
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
     @classmethod
     def compare(
-        cls, lhs: complex, rhs: complex, spec: TruncationSpec
+        cls, lhs: complex, rhs: complex, tolerance: float
     ) -> "SeriesComparison":
         lhs = complex(lhs)
         rhs = complex(rhs)
         return cls(lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs),
-                   rel_err=rel_err(lhs, rhs), spec=spec)
+                   rel_err=rel_err(lhs, rhs), tolerance=tolerance)
 
     @property
     def passed(self) -> bool:
-        return self.rel_err <= self.spec.tolerance
+        return self.rel_err <= self.tolerance
 
-    def to_json(self) -> str:
-        payload = {
+    def record(self) -> dict:
+        """The comparison as a JSON record."""
+        return {
             "lhs_re": self.lhs.real,
             "lhs_im": self.lhs.imag,
             "rhs_re": self.rhs.real,
             "rhs_im": self.rhs.imag,
             "abs_err": self.abs_err,
             "rel_err": self.rel_err,
-            "spec": {
-                "m_cutoff": self.spec.m_cutoff,
-                "n_cutoff": self.spec.n_cutoff,
-                "tolerance": self.spec.tolerance,
-            },
+            "tolerance": self.tolerance,
         }
-        return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
 def coefficient_tail_bound(m_cutoff: int, sigma: float) -> float:
@@ -139,20 +127,21 @@ def _fsum(terms: list[complex]) -> complex:
 # ======================================================================
 
 
-def Z_direct(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
+def Z_direct(s1: complex, s2: complex, m_cutoff: int, n_cutoff: int) -> complex:
     """Sum of a^(-s1) (3ac - b^2)^(-s2) over reduced representatives
-    with odd squarefree n = 3ac - b^2.
+    with a <= m_cutoff and odd squarefree n = 3ac - b^2 <= n_cutoff.
 
     Terms are generated lexicographically in (a, b, c) and accumulated
     with exact compensated summation, so the value is independent of
     any regrouping.  Meaningful for Re(s1) > 1 and Re(s2) > 1 where the
-    truncation tails are controlled.
+    truncation tails are controlled.  ValueError when s1 or s2 is not
+    finite or a cutoff is below 1.
     """
+    _finite(s1)
+    _finite(s2)
     return _fsum([
         _px(a, s1) * _px(n, s2)
-        for a, _b, _c, n in forms.enumerate_representatives(
-            spec.m_cutoff, spec.n_cutoff
-        )
+        for a, _b, _c, n in forms.enumerate_representatives(m_cutoff, n_cutoff)
     ])
 
 
@@ -166,14 +155,19 @@ def _coefficient_double_sum(ns: list[int], s1: complex, s2: complex,
     return _fsum([Z_n_oracle(n, s1, m_cutoff) * _px(n, s2) for n in ns])
 
 
-def Z_coeff(s1: complex, s2: complex, spec: TruncationSpec) -> complex:
-    """Coefficient route: C(3m,-n) m^(-s1) n^(-s2) over odd squarefree n.
+def Z_coeff(s1: complex, s2: complex, m_cutoff: int, n_cutoff: int) -> complex:
+    """Coefficient route: C(3m,-n) m^(-s1) n^(-s2) over m <= m_cutoff
+    and odd squarefree n <= n_cutoff.
 
     Identical term multiset as Z_direct under matched cutoffs, grouped
     by n instead of by form into slices `Z_n_oracle(n, s1, m_cutoff)`.
+    ValueError when s1 or s2 is not finite or a cutoff is below 1.
     """
-    ns = arith.odd_squarefree(spec.n_cutoff)
-    return _coefficient_double_sum(ns, s1, s2, spec.m_cutoff)
+    _finite(s1)
+    _finite(s2)
+    _check_cutoffs(m_cutoff=m_cutoff, n_cutoff=n_cutoff)
+    ns = arith.odd_squarefree(n_cutoff)
+    return _coefficient_double_sum(ns, s1, s2, m_cutoff)
 
 
 def Z_n_oracle(n: int, s: complex, m_cutoff: int) -> complex:
@@ -299,17 +293,21 @@ def _twisted_sum(
 
 
 def Z_star(
-    chi: DirichletCharacter, s1: complex, s2: complex, spec: TruncationSpec
+    chi: DirichletCharacter, s1: complex, s2: complex, n_cutoff: int
 ) -> complex:
     """Twisted outer series over squarefree n coprime to 6.
 
     sum chi(n) L_{2,3}(eta_n, s1) n^(-s2) truncated at n_cutoff, in
     ascending n order, with one Hurwitz L-value per n per call.  chi
     must have modulus 24.  Meaningful for Re(s1) > 1 and Re(s2) > 1.
+    ValueError when s1 or s2 is not finite or n_cutoff < 1.
     """
     if chi.modulus != 24:
         raise ValueError("Z_star expects a character of modulus 24")
-    ns = _outer_indices(spec.n_cutoff)
+    _finite(s1)
+    _finite(s2)
+    _check_cutoffs(n_cutoff=n_cutoff)
+    ns = _outer_indices(n_cutoff)
     return _twisted_sum(chi, ns, [_L23_eta(n, s1) for n in ns], s2)
 
 
@@ -322,15 +320,16 @@ _INNER_TERMS = 20000
 
 
 def residue_identity_check(
-    chi: DirichletCharacter, s1: complex, s2: complex, spec: TruncationSpec
+    chi: DirichletCharacter, s1: complex, s2: complex, m_cutoff: int,
+    n_cutoff: int, tolerance: float,
 ) -> SeriesComparison:
     """Check L(2 s2, chi^2) Z*(s1, s2) against its unfolded m-sum.
 
     The right side is sum over m coprime to 6 of (-1/m) m^(-s1) times
     prod_{p | m} (1 - chi^2(p) p^(-2 s2))^(-1) times the L-value at s2
     of the twist k -> chi(k) (k/m), each inner L truncated at
-    _INNER_TERMS.  Both sides use the cutoffs in spec (n_cutoff for the
-    twisted series, m_cutoff for the m-sum).
+    _INNER_TERMS.  The left side's twisted series runs to n_cutoff, the
+    right side's m-sum to m_cutoff; ValueError when either is below 1.
 
     At a real s1 of `lfunc._afe_domain` the left side's L-values
     L_{2,3}(eta_n, s1) come from one approximate-functional-equation
@@ -341,13 +340,14 @@ def residue_identity_check(
     """
     if chi.modulus != 24:
         raise ValueError("residue identity expects a character of modulus 24")
+    _check_cutoffs(m_cutoff=m_cutoff, n_cutoff=n_cutoff)
     # Every character mod 24 is real, so chi^2 is principal.
     chi_sq = principal_character(24)
     if _afe_domain(s1):
-        lvals = _L23_eta_batch(complex(s1).real, spec.n_cutoff)
-        zstar = _twisted_sum(chi, _outer_indices(spec.n_cutoff), lvals, s2)
+        lvals = _L23_eta_batch(complex(s1).real, n_cutoff)
+        zstar = _twisted_sum(chi, _outer_indices(n_cutoff), lvals, s2)
     else:
-        zstar = Z_star(chi, s1, s2, spec)
+        zstar = Z_star(chi, s1, s2, n_cutoff)
     lhs = dirichlet_L(chi_sq, 2 * complex(s2)).value * zstar
 
     kinv = np.exp(
@@ -356,7 +356,7 @@ def residue_identity_check(
     ks = np.arange(_INNER_TERMS + 1)
     chi_vec = np.asarray([complex(chi(k)).real for k in range(24)])[ks % 24]
     terms = []
-    for m in range(1, spec.m_cutoff + 1):
+    for m in range(1, m_cutoff + 1):
         if m % 2 == 0 or m % 3 == 0:
             continue
         # (k/m) depends only on k mod m, so one table per m suffices.
@@ -369,12 +369,14 @@ def residue_identity_check(
             csq = complex(chi(p)) ** 2
             pref /= 1 - csq * _px(p, 2 * complex(s2))
         terms.append(pref * l_inner)
-    return SeriesComparison.compare(lhs, _fsum(terms), spec)
+    return SeriesComparison.compare(lhs, _fsum(terms), tolerance)
 
 
 def prime_zeta(e: complex) -> complex:
-    """sum over primes p of p^(-e) for Re(e) > 1, via log-zeta Moebius."""
-    e = complex(e)
+    """sum over primes p of p^(-e) for Re(e) > 1, via log-zeta Moebius.
+
+    ValueError when e is not finite."""
+    e = complex(_finite(e))
     if e.real <= 1:
         raise PoleError("prime zeta requires Re(e) > 1")
     total = 0j
@@ -388,7 +390,7 @@ def prime_zeta(e: complex) -> complex:
 
 
 def _prime_zeta_tail(e: complex, primes: list[int]) -> complex:
-    """sum_{p > P} p^(-e) with P the largest member of the sieve list."""
+    """sum_{p > P} p^(-e) with `primes` every prime up to P."""
     ps = np.asarray(primes, dtype=float)
     head = complex(np.exp(-complex(e) * np.log(ps)).sum())
     return prime_zeta(e) - head
@@ -406,22 +408,26 @@ def residue_product(
     analytically summed log of the dropped p > prime_cutoff factors is
     then added back (prime-zeta expansion), which is what makes
     successive cutoffs agree to ~1e-12 instead of the raw ~1/(P log P)
-    drift.  The product diverges when Re(2 s1 + 1) <= 1;
-    that configuration raises PoleError rather than returning noise.
+    drift.  A cutoff below 5 leaves the empty product, and the tail then
+    runs over every p >= 5, so cutoffs 1 to 4 agree bit for bit.  The
+    product diverges when Re(2 s1 + 1) <= 1; that configuration raises
+    PoleError rather than returning noise.  ValueError when s1 is not
+    finite or prime_cutoff < 1.
     """
     if chi.modulus != 24:
         raise ValueError("residue product expects a character of modulus 24")
-    s1 = complex(s1)
+    _check_cutoffs(prime_cutoff=prime_cutoff)
+    s1 = complex(_finite(s1))
     if 2 * s1.real + 1 <= 1 + 1e-12:
         raise PoleError("residue product diverges for Re(2 s1 + 1) <= 1")
     front = 1 / 3
     for p, _e in arith.factorize(chi.conductor):
         front *= 1 - 1 / p
-    primes = arith.primes_up_to(prime_cutoff)
+    # Every prime up to the cutoff, and never fewer than 2 and 3, which
+    # the tail must not count; the product skips them.
+    primes = arith.primes_up_to(max(prime_cutoff, 3))
     partial = complex(front)
-    for p in primes:
-        if p in (2, 3):
-            continue
+    for p in primes[2:]:
         csq = complex(chi(p)) ** 2
         inv2 = 1.0 / (p * p)
         num = 1 - csq * inv2 + csq * _px(p, 2 * s1 + 2) - _px(p, 2 * s1 + 1)
@@ -457,13 +463,12 @@ def functional_equation_check(
     Gamma pole makes either side undefined raise PoleError instead of
     being dropped silently.
     """
-    spec = TruncationSpec(m_cutoff=1, n_cutoff=1, tolerance=tolerance)
     out = []
     for s in s_grid:
         s = complex(s)
         lhs = completed_Lambda(n, s)
         rhs = completed_Lambda(n, 1 - s)
-        out.append(SeriesComparison.compare(lhs, rhs, spec))
+        out.append(SeriesComparison.compare(lhs, rhs, tolerance))
     return out
 
 
@@ -473,7 +478,7 @@ def functional_equation_check(
 
 
 def decomposition_check(
-    s1: complex, s2: complex, spec: TruncationSpec
+    s1: complex, s2: complex, m_cutoff: int, n_cutoff: int, tolerance: float
 ) -> SeriesComparison:
     """Coefficient double sum against the character decomposition.
 
@@ -488,12 +493,14 @@ def decomposition_check(
     mod 24.  Both sides run over one list of n, so the outer truncation
     cancels; each L_{2,3}(eta_n, s1) is taken once (Hurwitz) for all
     eight chi.  The inner m-truncation on the left is the only gap; its
-    tail bound at m_cutoff must sit below the tolerance.
+    tail bound at m_cutoff must sit below the tolerance.  ValueError
+    when s1 or s2 is not finite or a cutoff is below 1.
     """
-    s1 = complex(s1)
-    s2 = complex(s2)
-    ns = _outer_indices(spec.n_cutoff)
-    lhs = _coefficient_double_sum(ns, s1, s2, spec.m_cutoff)
+    s1 = complex(_finite(s1))
+    s2 = complex(_finite(s2))
+    _check_cutoffs(m_cutoff=m_cutoff, n_cutoff=n_cutoff)
+    ns = _outer_indices(n_cutoff)
+    lhs = _coefficient_double_sum(ns, s1, s2, m_cutoff)
     lvals = [_L23_eta(n, s1) for n in ns]
 
     ajs = {j: A_j(j, s1) for j in _UNITS_MOD24}
@@ -503,4 +510,4 @@ def decomposition_check(
         total += weight * _twisted_sum(chi, ns, lvals, s2)
     front = riemann_zeta(s1) / riemann_zeta(2 * s1) / (1 - _px(2, s1))
     rhs = front * total / 8
-    return SeriesComparison.compare(lhs, rhs, spec)
+    return SeriesComparison.compare(lhs, rhs, tolerance)

@@ -409,8 +409,7 @@ def criterion_residue_identity() -> tuple[bool, str]:
     with cutoffs 2000, and the residue product at s1 = 1/2 stable to
     1e-8 between prime cutoffs 1e4 and 2e4."""
     triv = next(c for c in characters_mod24() if c.is_principal)
-    spec = mds.TruncationSpec(m_cutoff=2000, n_cutoff=2000, tolerance=1e-3)
-    cmp1 = mds.residue_identity_check(triv, 2.5, 2.0, spec)
+    cmp1 = mds.residue_identity_check(triv, 2.5, 2.0, 2000, 2000, 1e-3)
     lo = mds.residue_product(triv, 0.5, 10000)
     hi = mds.residue_product(triv, 0.5, 20000)
     gap = abs(hi - lo)
@@ -431,13 +430,11 @@ def criterion_residue_identity() -> tuple[bool, str]:
 def criterion_global_regrouping() -> tuple[bool, str]:
     """Z_direct = Z_coeff to 1e-13 at cutoffs (300, 300), s = (2, 2);
     the coprime-to-6 decomposition to 1e-8 at (2.5, 2.0)."""
-    spec_a = mds.TruncationSpec(m_cutoff=300, n_cutoff=300, tolerance=1e-13)
-    za = mds.Z_direct(2.0, 2.0, spec_a)
-    zb = mds.Z_coeff(2.0, 2.0, spec_a)
+    za = mds.Z_direct(2.0, 2.0, 300, 300)
+    zb = mds.Z_coeff(2.0, 2.0, 300, 300)
     diff = abs(za - zb)
 
-    spec_b = mds.TruncationSpec(m_cutoff=1_200_000, n_cutoff=30, tolerance=1e-8)
-    cmp_d = mds.decomposition_check(2.5, 2.0, spec_b)
+    cmp_d = mds.decomposition_check(2.5, 2.0, 1_200_000, 30, 1e-8)
 
     ok = diff <= 1e-13 and cmp_d.passed
     detail = (

@@ -307,6 +307,15 @@ def test_symbol_that_vanishes_at_a_unit_is_refused():
         DirichletCharacter(4, [1, 1, 0, -1])
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a table is checked "
+                   "for its support and chi(-1), not for being a "
+                   "homomorphism")
+def test_table_that_is_no_homomorphism_is_refused():
+    # 2 * 3 = 1 mod 5, but chi(2) chi(3) = -1 against chi(1) = 1.
+    with pytest.raises(ValueError):
+        DirichletCharacter(5, [0, 1, -1, 1, 1])
+
+
 def test_all_characters_mod_matches_odometer():
     # Same characters in the same order, down to the bytes: criterion 8
     # names the first character with the worst error.

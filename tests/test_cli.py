@@ -413,6 +413,51 @@ def test_imaginary_part_beyond_envelope_exits_2(capsys, monkeypatch):
         assert captured.err.startswith("error: ") and "|Im s| <= 50" in captured.err
 
 
+def test_tolerance_not_positive_exits_2(capsys):
+    for tol in ("nan", "0", "-1"):
+        assert cli.main(["zn", "5", "--s", "2", "--cutoff", "100",
+                         "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance must be > 0, got {float(tol)}\n"
+
+
+def test_json_comparisons_carry_their_tolerance(capsys):
+    # The cutoffs are in the parameters; a comparison adds only its
+    # tolerance, and lfun's fixed 200000 direct terms sit on its record.
+    assert cli.main(["--format", "json", "lfun", "--char", "mod24:5",
+                     "--s", "2.5"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert [c["tolerance"] for c in record["comparisons"]] == [1e-8]
+    assert all("spec" not in c for c in record["comparisons"])
+    assert record["results"][1]["name"] == "direct"
+    assert record["results"][1]["terms"] == 200000
+
+
+# Open defects, each pinned by the behaviour it should have.
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the error "
+                   "1.567e-4 lies inside the oracle's a-priori bound, so "
+                   "the verdict should be inconclusive, exit 0")
+def test_zn_error_inside_the_oracle_bound_does_not_fail(capsys):
+    assert cli.main(["zn", "5", "--s", "1.7"]) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: both double sums "
+                   "diverge at Re s1 <= 1, yet agree with each other")
+def test_zeta2_divergent_series_is_not_a_pass(capsys):
+    cli.main(["zeta2", "--s1", "0.75,0", "--s2", "2.5,0", "--nmax", "50",
+              "--mmax", "200"])
+    assert "status: pass" not in capsys.readouterr().out
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: Lambda is entire, "
+                   "but its Gamma factor has a pole at s = 2")
+def test_fe_at_two_is_evaluated(capsys):
+    assert cli.main(["fe", "5", "--grid", "2"]) == 0
+
+
 def test_exit_code_on_verification_failure(capsys, monkeypatch):
     # A 10-term oracle and a 10-prime product both miss the closed Z_5
     # by more than the default 1e-4 (rel 7.4e-3 and 2.0e-3), so the

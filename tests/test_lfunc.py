@@ -634,6 +634,15 @@ def test_dirichlet_L_matches_direct_sum():
             ), (chi.modulus, s)
 
 
+def test_dirichlet_L_direct_refuses_fewer_than_one_term():
+    # 0 terms once divided by zero, and -5 gave 0j with a negative
+    # error estimate.
+    for chi in (principal_character(3), character_eta(5)):
+        for terms in (0, -5):
+            with pytest.raises(ValueError, match="terms must be >= 1"):
+                dirichlet_L_direct(chi, 2.5, terms)
+
+
 def test_dirichlet_L_error_estimate_vs_mpmath():
     # Independent 30-digit reference: q^-s sum of Hurwitz values away
     # from s = 1, and -(1/q) sum chi(a) digamma(a/q) exactly at s = 1

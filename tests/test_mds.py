@@ -1,6 +1,5 @@
 """Double series assembly, regrouping, residue identities."""
 
-import json
 import math
 
 import mpmath
@@ -18,31 +17,43 @@ mpmath.mp.dps = 30
 # ======================================================================
 
 
-def test_truncation_spec_validation():
-    with pytest.raises(ValueError):
-        mds.TruncationSpec(m_cutoff=0, n_cutoff=10)
-    with pytest.raises(ValueError):
-        mds.TruncationSpec(m_cutoff=10, n_cutoff=10, tolerance=-1.0)
+def test_evaluators_refuse_cutoffs_below_one():
+    chi = characters_mod24()[0]
+    for m_cutoff, n_cutoff in ((0, 10), (10, 0), (-3, 10)):
+        with pytest.raises(ValueError, match="cutoff"):
+            mds.Z_direct(2.0, 2.0, m_cutoff, n_cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            mds.Z_coeff(2.0, 2.0, m_cutoff, n_cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            mds.residue_identity_check(chi, 2.5, 2.0, m_cutoff, n_cutoff, 1.0)
+        with pytest.raises(ValueError, match="cutoff"):
+            mds.decomposition_check(2.5, 2.0, m_cutoff, n_cutoff, 1.0)
+    with pytest.raises(ValueError, match="n_cutoff"):
+        mds.Z_star(chi, 2.5, 2.0, 0)
 
 
-def test_series_comparison_roundtrip():
-    spec = mds.TruncationSpec(m_cutoff=50, n_cutoff=20, tolerance=1e-6)
-    c = mds.SeriesComparison.compare(1.0 + 2.0j, 1.0 + 2.0000001j, spec)
+def test_series_comparison_refuses_tolerance_not_positive():
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            mds.SeriesComparison.compare(1.0, 1.0, tol)
+
+
+def test_series_comparison_record():
+    c = mds.SeriesComparison.compare(1.0 + 2.0j, 1.0 + 2.0000001j, 1e-6)
     assert c.passed
-    assert json.loads(c.to_json()) == {
+    assert c.record() == {
         "lhs_re": 1.0,
         "lhs_im": 2.0,
         "rhs_re": 1.0,
         "rhs_im": 2.0000001,
         "abs_err": c.abs_err,
         "rel_err": c.rel_err,
-        "spec": {"m_cutoff": 50, "n_cutoff": 20, "tolerance": 1e-6},
+        "tolerance": 1e-6,
     }
 
 
 def test_series_comparison_relative_error():
-    spec = mds.TruncationSpec(m_cutoff=1, n_cutoff=1, tolerance=1e-3)
-    c = mds.SeriesComparison.compare(100.0 + 0j, 100.2 + 0j, spec)
+    c = mds.SeriesComparison.compare(100.0 + 0j, 100.2 + 0j, 1e-3)
     assert abs(c.rel_err - 0.2 / 100.2) < 1e-12
     assert not c.passed
 
@@ -66,10 +77,9 @@ def test_coefficient_tail_bound_behaviour():
 
 
 def test_routes_agree_exactly():
-    spec = mds.TruncationSpec(m_cutoff=80, n_cutoff=80, tolerance=1e-13)
     for s1, s2 in [(2.0, 2.0), (2.5, 1.5), (2.0 + 1j, 2.0 - 0.5j)]:
-        zd = mds.Z_direct(complex(s1), complex(s2), spec)
-        zc = mds.Z_coeff(complex(s1), complex(s2), spec)
+        zd = mds.Z_direct(complex(s1), complex(s2), 80, 80)
+        zc = mds.Z_coeff(complex(s1), complex(s2), 80, 80)
         assert abs(zd - zc) < 1e-13, (s1, s2)
 
 
@@ -78,22 +88,20 @@ def test_single_cell_value():
     # (2, 3), (3, 3) families; check one tiny case by hand instead:
     # with cutoffs (1, 3) the only reduced forms are (1, 0, 1) with
     # n = 3, so Z = 1^-s1 * 3^-s2.
-    spec = mds.TruncationSpec(m_cutoff=1, n_cutoff=3, tolerance=1e-13)
-    got = mds.Z_direct(2.0 + 0j, 2.0 + 0j, spec)
+    got = mds.Z_direct(2.0 + 0j, 2.0 + 0j, 1, 3)
     assert abs(got - 3.0**-2.0) < 1e-15
 
 
 def test_direct_route_keeps_only_odd_squarefree_n():
     # The unfiltered enumeration also yields even and square-divisible n;
     # Z_direct is the sum over its odd squarefree part alone.
-    spec = mds.TruncationSpec(m_cutoff=6, n_cutoff=12, tolerance=1e-13)
     rows = list(forms.enumerate_representatives(6, 12, require_odd_squarefree=False))
 
     def direct_sum(keep):
         return mds._fsum([_px(a, 2.0) * _px(n, 2.0) for a, _b, _c, n in rows
                           if keep(n)])
 
-    with_filter = mds.Z_direct(2.0, 2.0, spec)
+    with_filter = mds.Z_direct(2.0, 2.0, 6, 12)
     assert with_filter == direct_sum(lambda n: n % 2 and arith.is_squarefree(n))
     assert direct_sum(lambda n: True).real > with_filter.real
 
@@ -163,8 +171,7 @@ def test_zn_euler_product_checks_inputs_without_primes():
 
 def test_Z_star_requires_mod24():
     with pytest.raises(ValueError):
-        mds.Z_star(principal_character(8), 2.5, 2.0,
-                   mds.TruncationSpec(10, 10))
+        mds.Z_star(principal_character(8), 2.5, 2.0, 10)
 
 
 def test_Z_star_leading_term():
@@ -172,8 +179,7 @@ def test_Z_star_leading_term():
     # the sum starts at n = 5 only after chi and L weights; check the
     # n_cutoff = 5 partial equals the explicit two-term sum).
     chi = characters_mod24()[0]
-    spec = mds.TruncationSpec(m_cutoff=1, n_cutoff=5, tolerance=1e-12)
-    got = mds.Z_star(chi, 2.5, 2.0, spec)
+    got = mds.Z_star(chi, 2.5, 2.0, 5)
     from cubic_mds.lfunc import L_removed_23, character_eta
 
     want = 0j
@@ -183,9 +189,8 @@ def test_Z_star_leading_term():
 
 
 def test_decomposition_identity_small():
-    spec = mds.TruncationSpec(m_cutoff=40000, n_cutoff=25, tolerance=3e-4)
-    c = mds.decomposition_check(2.5, 2.0, spec)
-    assert c.passed, (c.rel_err, c.spec.tolerance)
+    c = mds.decomposition_check(2.5, 2.0, 40000, 25, 3e-4)
+    assert c.passed, (c.rel_err, c.tolerance)
 
 
 def test_decomposition_takes_each_inner_L_value_once(monkeypatch):
@@ -198,8 +203,7 @@ def test_decomposition_takes_each_inner_L_value_once(monkeypatch):
         return plain(n, s)
 
     monkeypatch.setattr(mds, "_L23_eta", counted)
-    spec = mds.TruncationSpec(m_cutoff=100, n_cutoff=60, tolerance=1.0)
-    mds.decomposition_check(2.5, 2.0, spec)
+    mds.decomposition_check(2.5, 2.0, 100, 60, 1.0)
     assert calls == mds._outer_indices(60)
 
 
@@ -211,13 +215,12 @@ def test_decomposition_and_Z_star_stay_on_hurwitz(monkeypatch):
     monkeypatch.setattr(lfunc, "_L23_real_batch", refused)
     monkeypatch.setattr(mds, "_L23_real_batch", refused)
     mds._L23_eta_batch.cache_clear()
-    spec = mds.TruncationSpec(m_cutoff=100, n_cutoff=60, tolerance=1.0)
     ns = mds._outer_indices(60)
     lvals = [lfunc.L_removed_23(lfunc.character_eta(n), 2.5) for n in ns]
     for chi in characters_mod24():
         want = mds._fsum([chi(n) * lv * n**-2.0 for n, lv in zip(ns, lvals)])
-        assert mds.Z_star(chi, 2.5, 2.0, spec) == want
-    assert mds.decomposition_check(2.5, 2.0, spec).rel_err < 1e-3
+        assert mds.Z_star(chi, 2.5, 2.0, 60) == want
+    assert mds.decomposition_check(2.5, 2.0, 100, 60, 1.0).rel_err < 1e-3
 
 
 # ======================================================================
@@ -236,8 +239,7 @@ def test_prime_zeta_against_mpmath():
 
 def test_residue_identity_trivial_character():
     chi = characters_mod24()[0]
-    spec = mds.TruncationSpec(m_cutoff=600, n_cutoff=600, tolerance=5e-3)
-    c = mds.residue_identity_check(chi, 2.5, 2.0, spec)
+    c = mds.residue_identity_check(chi, 2.5, 2.0, 600, 600, 5e-3)
     assert c.passed, c.rel_err
 
 
@@ -260,26 +262,24 @@ def test_residue_identity_routes(monkeypatch):
     # Outside the AFE's real domain the left side is Z_star's, bit for
     # bit; inside it no Hurwitz L-value is taken.
     chi = characters_mod24()[3]
-    spec = mds.TruncationSpec(m_cutoff=50, n_cutoff=300, tolerance=1.0)
     l2 = lfunc.dirichlet_L(principal_character(24), 4.0).value
     for s1 in (2.0, 2.5 + 0.5j, 4.0):
-        c = mds.residue_identity_check(chi, s1, 2.0, spec)
-        assert c.lhs == l2 * mds.Z_star(chi, s1, 2.0, spec), s1
-    hurwitz = l2 * mds.Z_star(chi, 2.5, 2.0, spec)
+        c = mds.residue_identity_check(chi, s1, 2.0, 50, 300, 1.0)
+        assert c.lhs == l2 * mds.Z_star(chi, s1, 2.0, 300), s1
+    hurwitz = l2 * mds.Z_star(chi, 2.5, 2.0, 300)
 
     def refused(*args):
         raise AssertionError("Hurwitz L-value inside the AFE's domain")
 
     monkeypatch.setattr(mds, "_L23_eta", refused)
-    c = mds.residue_identity_check(chi, 2.5, 2.0, spec)
+    c = mds.residue_identity_check(chi, 2.5, 2.0, 50, 300, 1.0)
     assert abs(c.lhs - hurwitz) <= 1e-13 * abs(hurwitz)
 
 
 def test_residue_identity_nontrivial_even_character():
     chi = characters_mod24()[3]
     assert chi.parity == 0
-    spec = mds.TruncationSpec(m_cutoff=600, n_cutoff=600, tolerance=1e-4)
-    c = mds.residue_identity_check(chi, 2.5, 2.0, spec)
+    c = mds.residue_identity_check(chi, 2.5, 2.0, 600, 600, 1e-4)
     assert c.passed, c.rel_err
 
 
@@ -335,10 +335,51 @@ def test_residue_product_tail_compensation():
     assert gap_comp < gap_raw / 100
 
 
+def test_residue_product_cutoffs_below_five_agree():
+    # Below 5 no factor is multiplied, and the tail runs over every
+    # p >= 5: the primes 2 and 3 the product skips are never added back.
+    for chi in (characters_mod24()[0], characters_mod24()[3]):
+        want = mds.residue_product(chi, 0.5, 3)
+        for cutoff in (1, 2, 4):
+            assert mds.residue_product(chi, 0.5, cutoff) == want, cutoff
+        far = mds.residue_product(chi, 0.5, 10000)
+        assert abs(want - far) <= 1e-9 * abs(far)
+        for cutoff in (0, -5):
+            with pytest.raises(ValueError, match="prime_cutoff"):
+                mds.residue_product(chi, 0.5, cutoff)
+
+
 def test_residue_product_pole_guard():
     chi = characters_mod24()[0]
     with pytest.raises(PoleError):
         mds.residue_product(chi, 0.0, 100)
+
+
+_CHI = characters_mod24()[3]
+
+# Each call takes one point s from its argument, at positions where a
+# nan once gave nan or a wrong number instead of an error.
+NON_FINITE_CALLS = {
+    "prime_zeta": mds.prime_zeta,
+    "residue_product": lambda s: mds.residue_product(_CHI, s, 100),
+    "local_factor_oracle": lambda s: euler.local_factor_oracle(5, 7, s),
+    "dirichlet_L_direct": lambda s: lfunc.dirichlet_L_direct(_CHI, s, 100),
+    "Z_direct s1": lambda s: mds.Z_direct(s, 2.0, 10, 10),
+    "Z_direct s2": lambda s: mds.Z_direct(2.0, s, 10, 10),
+    "Z_coeff s2": lambda s: mds.Z_coeff(2.0, s, 10, 10),
+    "Z_star s2": lambda s: mds.Z_star(_CHI, 2.5, s, 10),
+    "decomposition_check s2":
+        lambda s: mds.decomposition_check(2.5, s, 10, 10, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(),
+                         ids=NON_FINITE_CALLS.keys())
+def test_non_finite_points_are_refused(call):
+    for s in (float("nan"), float("inf"), complex(2.0, float("nan")),
+              complex(float("-inf"), 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            call(s)
 
 
 # ======================================================================

@@ -108,20 +108,21 @@ def plain_Z_n_oracle(n: int, s, m_cutoff: int) -> complex:
     return complex(coeffs @ powers)
 
 
-def plain_coefficient_double_sum(s1, s2, spec, coprime_six: bool) -> complex:
+def plain_coefficient_double_sum(s1, s2, m_cutoff: int, n_cutoff: int,
+                                 coprime_six: bool) -> complex:
     """Each slice as one dot of its float coefficients against a shared
     vector of every m^(-s1), vanishing slices included."""
-    sqfree = arith.squarefree_mask(spec.n_cutoff)
-    ks = np.arange(1, spec.m_cutoff + 1, dtype=float)
+    sqfree = arith.squarefree_mask(n_cutoff)
+    ks = np.arange(1, m_cutoff + 1, dtype=float)
     powers = np.exp(-complex(s1) * np.log(ks))
     terms = []
-    for n in range(1, spec.n_cutoff + 1, 2):
+    for n in range(1, n_cutoff + 1, 2):
         if not sqfree[n]:
             continue
         if coprime_six and n % 3 == 0:
             continue
         coeffs = np.asarray(
-            sqcount.coefficient_sieve(n, spec.m_cutoff)[1:], dtype=float
+            sqcount.coefficient_sieve(n, m_cutoff)[1:], dtype=float
         )
         terms.append(complex(coeffs @ powers) * _px(n, s2))
     return mds._fsum(terms)
@@ -279,20 +280,20 @@ DOUBLE_SUM_POINTS = (
 @pytest.mark.parametrize("point", DOUBLE_SUM_POINTS, ids=repr)
 def test_coefficient_route_equals_plain_double_sum(point):
     s1, s2, m_cutoff, n_cutoff = point
-    spec = mds.TruncationSpec(m_cutoff=m_cutoff, n_cutoff=n_cutoff)
-    assert repr(mds.Z_coeff(s1, s2, spec)) == repr(
-        plain_coefficient_double_sum(s1, s2, spec, coprime_six=False)
+    assert repr(mds.Z_coeff(s1, s2, m_cutoff, n_cutoff)) == repr(
+        plain_coefficient_double_sum(s1, s2, m_cutoff, n_cutoff,
+                                     coprime_six=False)
     )
-    assert repr(mds.decomposition_check(s1, s2, spec).lhs) == repr(
-        plain_coefficient_double_sum(complex(s1), complex(s2), spec,
-                                     coprime_six=True)
+    lhs = mds.decomposition_check(s1, s2, m_cutoff, n_cutoff, 1e-8).lhs
+    assert repr(lhs) == repr(
+        plain_coefficient_double_sum(complex(s1), complex(s2), m_cutoff,
+                                     n_cutoff, coprime_six=True)
     )
 
 
 def test_decomposition_lhs_equals_plain_double_sum_at_criterion_10():
-    spec = mds.TruncationSpec(m_cutoff=1_200_000, n_cutoff=30)
-    lhs = mds.decomposition_check(2.5, 2.0, spec).lhs
-    want = plain_coefficient_double_sum(2.5 + 0j, 2.0 + 0j, spec,
+    lhs = mds.decomposition_check(2.5, 2.0, 1_200_000, 30, 1e-8).lhs
+    want = plain_coefficient_double_sum(2.5 + 0j, 2.0 + 0j, 1_200_000, 30,
                                         coprime_six=True)
     assert repr(lhs) == repr(want)
 
