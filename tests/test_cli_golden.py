@@ -60,6 +60,8 @@ COMMANDS = [
     ["--format", "json", "zeta2", "--s1", "2.5,0", "--s2", "2,0",
      "--mmax", "300", "--nmax", "50"],
     ["--format", "json", "lfun", "--char", "mod24:5", "--s", "2.5"],
+    # The JSON record of criterion 8.
+    ["--format", "json", "verify", "8"],
 ]
 
 SCRIPT = """
