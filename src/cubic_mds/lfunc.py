@@ -1039,98 +1039,72 @@ def _L23_real_batch(ns, s: float) -> np.ndarray:
     return lval * (1 - chi[:, 2] * 2.0**-s) * (1 - chi[:, 3] * 3.0**-s)
 
 
-@functools.lru_cache(maxsize=4)
-def _squarefree_powers(N: int, w: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The squarefree d <= N in ascending order and d^(-w), read-only."""
-    dk = np.flatnonzero(arith.squarefree_mask(N)[1:]) + 1
-    dw = np.power(dk.astype(float), -w)
-    dk.setflags(write=False)
-    dw.setflags(write=False)
-    return dk, dw
-
-
-@functools.lru_cache(maxsize=32)
-def _multiple_index(N: int, e: int) -> np.ndarray:
-    """Positions of the multiples of e among the squarefree d <= N, read-only."""
-    dk = np.flatnonzero(arith.squarefree_mask(N)[1:]) + 1
-    idx = np.flatnonzero(dk % e == 0)
-    idx.setflags(write=False)
-    return idx
-
-
-@functools.lru_cache(maxsize=64)
-def _residue_sums(N: int, w: complex, q: int, e: int) -> np.ndarray:
-    """V[r] = sum of d^(-w) over squarefree d <= N with e | d and
-    d = r (mod q), for 0 <= r < q; read-only."""
-    dk, dw = _squarefree_powers(N, w)
-    idx = _multiple_index(N, e)
-    r = dk[idx] % q
-    terms = dw[idx]
-    v = np.bincount(r, weights=terms.real, minlength=q) + 1j * np.bincount(
-        r, weights=terms.imag, minlength=q
-    )
-    v.setflags(write=False)
-    return v
-
-
-@functools.lru_cache(maxsize=256)
-def _prime_divisors(b: int) -> tuple[int, ...]:
-    """The primes dividing b >= 1, ascending."""
-    return tuple(p for p, _ in arith.factorize(b))
-
-
-@functools.lru_cache(maxsize=256)
-def _signed_divisors(b: int) -> tuple[tuple[int, int], ...]:
+def _signed_divisors(b: int) -> list[tuple[int, int]]:
     """The pairs (e, mu(e)) for the divisors e of rad b, ascending in e."""
     out = [(1, 1)]
-    for p in _prime_divisors(b):
+    for p, _ in arith.factorize(b):
         out += [(e * p, -mu) for e, mu in out]
-    return tuple(sorted(out))
+    return sorted(out)
 
 
-def L_squarefree_restricted_table(
-    psi: DirichletCharacter, bs, w: complex, N: int
-) -> np.ndarray:
-    """Truncated sums over squarefree d <= N coprime to b of psi(d) d^(-w),
-    one entry per b in `bs`.
+def L_squarefree_restricted_table(chars, bs, w: complex, N: int) -> np.ndarray:
+    """Truncated sums over squarefree d <= N coprime to b of psi(d) d^(-w):
+    one row per character psi in the sequence `chars`, one column per b
+    in the sequence `bs`.
 
     By Moebius inversion over the divisors e of rad b, each entry is
-    sum_e mu(e) U_e, where U_e sums psi(d) d^(-w) over the squarefree
-    d <= N divisible by e.  U_e is psi's table dotted with the sums of
-    d^(-w) by residue of d mod q (`_residue_sums`), so a character
-    costs one dot of length q per e, whatever N is.  Each entry depends
-    only on (psi, b, w, N), not on the other b in `bs`.
+    sum_e mu(e) U_e in ascending e, where U_e sums psi(d) d^(-w) over the
+    squarefree d <= N divisible by e.  For each run of characters of one
+    modulus q, U_e is the row sum of their tables times the sums of
+    d^(-w) by residue of d mod q, so a character costs one product of
+    length q per e, whatever N is.  A row sum, unlike a matrix product,
+    keeps the bits of each entry whatever else shares the call: an entry
+    depends only on (psi, b, w, N).
     """
-    bs = list(bs)
     if N < 1 or any(b < 1 for b in bs):
         raise ValueError("b and N must be >= 1")
     w = complex(w)
-    q = psi.modulus
-    table = psi.table.astype(complex)
+    dk = np.flatnonzero(arith.squarefree_mask(N)[1:]) + 1
+    dw = np.power(dk.astype(float), -w)
     divisors = [_signed_divisors(b) for b in bs]
-    U = {
-        e: table @ _residue_sums(N, w, q, e)
-        for e in {e for divs in divisors for e, _ in divs}
-    }
-    return np.array(
-        [sum(mu * U[e] for e, mu in divs) for divs in divisors], dtype=complex
-    )
+    multiples = {e: np.flatnonzero(dk % e == 0)
+                 for e in {e for divs in divisors for e, _ in divs}}
+    out = np.empty((len(chars), len(bs)), dtype=complex)
+    start = 0
+    for q, run in itertools.groupby(chars, key=lambda chi: chi.modulus):
+        tables = np.array([chi.table for chi in run], dtype=complex)
+        rows = slice(start, start + len(tables))
+        start = rows.stop
+        U = {}
+        for e, idx in multiples.items():
+            r, terms = dk[idx] % q, dw[idx]
+            sums = np.bincount(r, terms.real, q) + 1j * np.bincount(r, terms.imag, q)
+            U[e] = (tables * sums).sum(axis=1)
+        for j, divs in enumerate(divisors):
+            out[rows, j] = sum(mu * U[e] for e, mu in divs)
+    return out
 
 
-def lb_finite_product(psi: DirichletCharacter, b: int, w: complex) -> complex:
-    """Product over p | b of (1 + psi(p) p^(-w))^(-1).
+def lb_finite_product(chars, bs, w: complex) -> np.ndarray:
+    """Product over p | b of (1 + psi(p) p^(-w))^(-1): one row per
+    character psi in the sequence `chars`, one column per b in `bs`.
 
     This is the factor by which restricting the squarefree sum to
     gcd(d, b) = 1 divides it: each stripped prime removes one binomial
     Euler factor (1 + psi(p) p^(-w)).  Equivalently, the product of
-    (1 - psi(p) p^(-w)) / (1 - psi(p)^2 p^(-2w)) over p | b.  The
-    primes of b come from the cache `_prime_divisors`, in ascending order.
+    (1 - psi(p) p^(-w)) / (1 - psi(p)^2 p^(-2w)) over p | b.  Each column
+    divides by the factors at the primes of b in ascending order;
+    PoleError when a factor is within 1e-13 of 0.
     """
     w = complex(w)
-    out = 1 + 0j
-    for p in _prime_divisors(b):
-        factor = 1 + complex(psi(p)) * _px(p, w)
-        out /= _guard(factor, f"1 + psi(p) p^-w at p={p}")
+    prime_lists = [[p for p, _ in arith.factorize(b)] for b in bs]
+    out = np.ones((len(chars), len(prime_lists)), dtype=complex)
+    for p in sorted({p for ps in prime_lists for p in ps}):
+        factor = 1 + np.array([chi(p) for chi in chars], dtype=complex) * _px(p, w)
+        _guard(min(factor.tolist(), key=abs, default=1.0), f"1 + psi(p) p^-w at p={p}")
+        for j, ps in enumerate(prime_lists):
+            if p in ps:
+                out[:, j] /= factor
     return out
 
 

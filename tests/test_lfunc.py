@@ -704,17 +704,29 @@ def test_squarefree_restricted_identity_small():
     # L(2w, psi^2) * Sum_{d squarefree, (d,b)=1} psi(d) d^-w equals
     # L(w, psi) * prod_{p|b} (1 + psi(p) p^-w)^(-1).
     w = 2.5
+    bs = (1, 6, 10)
     for q in [5, 8, 12]:
-        for psi in all_characters_mod(q):
+        chars = all_characters_mod(q)
+        sums = L_squarefree_restricted_table(chars, bs, w, 20000)
+        products = lb_finite_product(chars, bs, w)
+        for psi, sum_row, product_row in zip(chars, sums, products):
             psi_sq = DirichletCharacter(
                 q, [complex(v) ** 2 for v in psi.values]
             )
-            for b in [1, 6, 10]:
-                lhs = dirichlet_L(psi_sq, 2 * w).value * complex(
-                    L_squarefree_restricted_table(psi, (b,), w, 20000)[0]
-                )
-                rhs = dirichlet_L(psi, w).value * lb_finite_product(psi, b, w)
+            l2 = dirichlet_L(psi_sq, 2 * w).value
+            l1 = dirichlet_L(psi, w).value
+            for b, lb, product in zip(bs, sum_row, product_row):
+                lhs, rhs = l2 * complex(lb), l1 * complex(product)
                 assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs)), (q, b)
+
+
+def test_finite_product_pole_guard():
+    # 2^-w = -1 at w = i pi / ln 2, so 1 + psi(2) 2^-w vanishes for the
+    # character mod 1 at b = 2.
+    w = 1j * math.pi / math.log(2)
+    assert abs(1 + cmath.exp(-w * math.log(2))) < 1e-13
+    with pytest.raises(PoleError, match="p=2"):
+        lb_finite_product([principal_character(1)], (3, 2), w)
 
 
 # ======================================================================
