@@ -227,6 +227,7 @@ def _cmd_forms(args) -> int:
 
 def _cmd_euler(args) -> int:
     _ceiling("--k", args.k, _MAX_EULER_K)
+    mds._check_tolerance(args.tol)
     s = parse_complex(args.s)
     closed = local_factor_closed(args.p, args.n, s)
     oracle = local_factor_oracle(args.p, args.n, s, args.k)
@@ -243,6 +244,7 @@ def _cmd_euler(args) -> int:
 def _cmd_zn(args) -> int:
     _ceiling("--cutoff", args.cutoff, _MAX_CUTOFF)
     _ceiling("--prime-cutoff", args.prime_cutoff, _MAX_PRIME_CUTOFF)
+    mds._check_tolerance(args.tol)
     s = parse_complex(args.s)
     closed = Z_n_closed(args.n, s)
     if s.real <= 1:
@@ -323,6 +325,7 @@ def _cmd_zeta2(args) -> int:
 
 
 def _cmd_fe(args) -> int:
+    mds._check_tolerance(args.tol)
     args.grid = args.grid or list(_FE_GRID)
     grid = [parse_complex(t) for t in args.grid]
     comps = mds.functional_equation_check(args.n, grid, tolerance=args.tol)

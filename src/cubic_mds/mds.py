@@ -50,6 +50,12 @@ def _check_cutoffs(**cutoffs: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """ValueError unless the tolerance is > 0; nan is refused too."""
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+
+
 def rel_err(a: complex, b: complex) -> float:
     """|a - b| over the larger of |a| and |b|, or over 1e-300 when both are 0."""
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
@@ -69,8 +75,7 @@ class SeriesComparison:
     tolerance: float
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        _check_tolerance(self.tolerance)
 
     @classmethod
     def compare(
@@ -329,7 +334,8 @@ def residue_identity_check(
     prod_{p | m} (1 - chi^2(p) p^(-2 s2))^(-1) times the L-value at s2
     of the twist k -> chi(k) (k/m), each inner L truncated at
     _INNER_TERMS.  The left side's twisted series runs to n_cutoff, the
-    right side's m-sum to m_cutoff; ValueError when either is below 1.
+    right side's m-sum to m_cutoff; ValueError when either is below 1,
+    and when the tolerance is not > 0, before anything is evaluated.
 
     At a real s1 of `lfunc._afe_domain` the left side's L-values
     L_{2,3}(eta_n, s1) come from one approximate-functional-equation
@@ -341,6 +347,7 @@ def residue_identity_check(
     if chi.modulus != 24:
         raise ValueError("residue identity expects a character of modulus 24")
     _check_cutoffs(m_cutoff=m_cutoff, n_cutoff=n_cutoff)
+    _check_tolerance(tolerance)
     # Every character mod 24 is real, so chi^2 is principal.
     chi_sq = principal_character(24)
     if _afe_domain(s1):
@@ -406,9 +413,12 @@ def residue_product(
         / (1 - chi^2(p)/p^2),
     multiplied over 5 <= p <= prime_cutoff in ascending order.  The
     analytically summed log of the dropped p > prime_cutoff factors is
-    then added back (prime-zeta expansion), which is what makes
-    successive cutoffs agree to ~1e-12 instead of the raw ~1/(P log P)
-    drift.  A cutoff below 5 leaves the empty product, and the tail then
+    then added back (prime-zeta expansion), which removes the raw
+    ~1/(P log P) drift.  The tail expansion stops at exponent 16, so a
+    small cutoff still moves the value: at the principal chi and
+    s1 = 1/2, cutoff 3 gives 0.30739296037095 and cutoff 1e4 gives
+    0.30739296043599, a gap of 6.5e-11 (2.1e-10 relative), while
+    criterion 9's cutoffs 1e4 and 2e4 agree to 4.9e-15.  A cutoff below 5 leaves the empty product, and the tail then
     runs over every p >= 5, so cutoffs 1 to 4 agree bit for bit.  The
     product diverges when Re(2 s1 + 1) <= 1; that configuration raises
     PoleError rather than returning noise.  ValueError when s1 is not
@@ -461,8 +471,10 @@ def functional_equation_check(
 
     n must be odd, squarefree and coprime to 3.  Grid points where a
     Gamma pole makes either side undefined raise PoleError instead of
-    being dropped silently.
+    being dropped silently.  ValueError when the tolerance is not > 0,
+    even for an empty grid.
     """
+    _check_tolerance(tolerance)
     out = []
     for s in s_grid:
         s = complex(s)
@@ -494,11 +506,13 @@ def decomposition_check(
     cancels; each L_{2,3}(eta_n, s1) is taken once (Hurwitz) for all
     eight chi.  The inner m-truncation on the left is the only gap; its
     tail bound at m_cutoff must sit below the tolerance.  ValueError
-    when s1 or s2 is not finite or a cutoff is below 1.
+    when s1 or s2 is not finite, a cutoff is below 1 or the tolerance is
+    not > 0, before anything is evaluated.
     """
     s1 = complex(_finite(s1))
     s2 = complex(_finite(s2))
     _check_cutoffs(m_cutoff=m_cutoff, n_cutoff=n_cutoff)
+    _check_tolerance(tolerance)
     ns = _outer_indices(n_cutoff)
     lhs = _coefficient_double_sum(ns, s1, s2, m_cutoff)
     lvals = [_L23_eta(n, s1) for n in ns]

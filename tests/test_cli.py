@@ -422,6 +422,21 @@ def test_tolerance_not_positive_exits_2(capsys):
         assert captured.err == f"error: tolerance must be > 0, got {float(tol)}\n"
 
 
+def test_tolerance_refused_before_any_evaluation(monkeypatch, capsys):
+    def evaluated(*args):
+        raise AssertionError("evaluated before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "Z_n_closed", evaluated)
+    monkeypatch.setattr(cli, "local_factor_closed", evaluated)
+    monkeypatch.setattr(cli.mds, "completed_Lambda", evaluated)
+    for argv in (["zn", "5", "--s", "2"], ["zn", "5", "--s", "0.5"],
+                 ["euler", "3", "7", "--s", "2,0"], ["fe", "5"]):
+        assert cli.main(argv + ["--tol", "nan"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be > 0, got nan\n"
+
+
 def test_json_comparisons_carry_their_tolerance(capsys):
     # The cutoffs are in the parameters; a comparison adds only its
     # tolerance, and lfun's fixed 200000 direct terms sit on its record.

@@ -38,6 +38,24 @@ def test_series_comparison_refuses_tolerance_not_positive():
             mds.SeriesComparison.compare(1.0, 1.0, tol)
 
 
+def test_checks_refuse_tolerance_before_evaluating(monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("evaluated before the tolerance was checked")
+
+    monkeypatch.setattr(mds, "dirichlet_L", evaluated)
+    monkeypatch.setattr(mds, "_coefficient_double_sum", evaluated)
+    monkeypatch.setattr(mds, "completed_Lambda", evaluated)
+    chi = characters_mod24()[0]
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            mds.residue_identity_check(chi, 2.5, 2.0, 10, 10, tol)
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            mds.decomposition_check(2.5, 2.0, 10, 10, tol)
+        for grid in ([], [0.3]):
+            with pytest.raises(ValueError, match="tolerance must be > 0"):
+                mds.functional_equation_check(5, grid, tol)
+
+
 def test_series_comparison_record():
     c = mds.SeriesComparison.compare(1.0 + 2.0j, 1.0 + 2.0000001j, 1e-6)
     assert c.passed
