@@ -325,7 +325,6 @@ def _cmd_zeta2(args) -> int:
 
 
 def _cmd_fe(args) -> int:
-    mds._check_tolerance(args.tol)
     args.grid = args.grid or list(_FE_GRID)
     grid = [parse_complex(t) for t in args.grid]
     comps = mds.functional_equation_check(args.n, grid, tolerance=args.tol)

@@ -418,8 +418,9 @@ def residue_product(
     small cutoff still moves the value: at the principal chi and
     s1 = 1/2, cutoff 3 gives 0.30739296037095 and cutoff 1e4 gives
     0.30739296043599, a gap of 6.5e-11 (2.1e-10 relative), while
-    criterion 9's cutoffs 1e4 and 2e4 agree to 4.9e-15.  A cutoff below 5 leaves the empty product, and the tail then
-    runs over every p >= 5, so cutoffs 1 to 4 agree bit for bit.  The
+    criterion 9's cutoffs 1e4 and 2e4 agree to 4.9e-15.  A cutoff below
+    5 leaves the empty product, and the tail then runs over every
+    p >= 5, so cutoffs 1 to 4 agree bit for bit.  The
     product diverges when Re(2 s1 + 1) <= 1; that configuration raises
     PoleError rather than returning noise.  ValueError when s1 is not
     finite or prime_cutoff < 1.

@@ -382,9 +382,12 @@ def criterion_squarefree_l_identity() -> tuple[bool, str]:
         l1.append(dirichlet_L(psi, w).value)
     lhs = np.array(l2)[:, None] * L_squarefree_restricted_table(chars, bs, w, 20000)
     rhs = np.array(l1)[:, None] * lb_finite_product(chars, bs, w)
-    worst, worst_at = _worst(zip(
-        map(mds.rel_err, lhs.ravel().tolist(), rhs.ravel().tolist()),
-        ((psi.modulus, b) for psi in chars for b in bs),
+    # One row is listed at a time: listing all 33,060 pairs at once took
+    # about 3.5 MB more peak memory in an acceptance run.
+    worst, worst_at = _worst((
+        (mds.rel_err(x, y), (psi.modulus, b))
+        for psi, xs, ys in zip(chars, lhs, rhs)
+        for b, x, y in zip(bs, xs.tolist(), ys.tolist())
     ), "(q={}, b={})")
     ok = worst <= 1e-6
     detail = f"{lhs.size} (psi, b) combos, worst rel {worst:.3e} at {worst_at}"
