@@ -62,6 +62,14 @@ COMMANDS = [
     ["--format", "json", "lfun", "--char", "mod24:5", "--s", "2.5"],
     # The JSON record of criterion 8.
     ["--format", "json", "verify", "8"],
+    # The counting criteria, and local factors at deep 2-adic levels,
+    # even ramification at 5 and criterion 3's worst point.
+    ["verify", "1"],
+    ["verify", "3"],
+    ["--format", "json", "verify", "3"],
+    ["euler", "2", "28", "--s", "2,0", "--k", "60"],
+    ["euler", "5", "50", "--s", "2.5,1", "--k", "60"],
+    ["euler", "3", "162", "--s", "2,0", "--k", "60"],
 ]
 
 SCRIPT = """
