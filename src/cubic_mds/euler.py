@@ -45,16 +45,21 @@ def local_factor_oracle(p: int, n: int, s: complex, K: int = 60) -> complex:
 
     Converges for Re(s) > 1/2; the tail after K terms is geometric of
     ratio p^(1/2 - Re s).  ValueError when s is not finite or K < 1.
+
+    The counts C(p^k, -n), at p = 3 C(3^(k+1), -n), come from one
+    `sqcount.count_roots_levels` call: one split of n and at most one
+    Kronecker symbol per (p, n).
     """
     _check_domain(p, n)
     _finite(s)
     if K < 1:
         raise ValueError(f"truncation order must satisfy K >= 1, got {K}")
     logp = math.log(p)
+    shift = 1 if p == 3 else 0
+    counts = sqcount.count_roots_levels(p, -n, K + shift)
     total = 0.0 + 0.0j
     for k in range(K + 1):
-        alpha = k + 1 if p == 3 else k
-        c = sqcount.count_roots_prime_power(p, alpha, -n)
+        c = counts[k + shift]
         if c:
             total += c * cmath.exp(-s * k * logp)
     return total

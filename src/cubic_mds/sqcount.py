@@ -7,8 +7,17 @@ the specialization  coefficient(m, n) = C(3m, -n).
 
 Two independent routes are kept side by side on purpose: an exhaustive
 counter (`count_roots_bruteforce`, plus a whole-residue-table variant)
-and the closed formula (`count_roots_prime_power` assembled by
-`count_roots`).  Tests pit one against the other.
+and the closed formula.  Tests pit one against the other.  The closed
+formula comes in three shapes, each taking its quadratic symbols its own
+way:
+
+* `count_roots_prime_power`, one count per call, one `arith.kronecker`
+  each, assembled over factorize(m) by `count_roots`;
+* `count_roots_table`, every residue of one prime power at once, with one
+  Legendre symbol per class mod p by Euler's criterion; criterion 1 pits
+  it against the exhaustive table;
+* `count_roots_levels`, the counts of one n at every level p^0..p^K, with
+  one `arith.kronecker`; the truncated local factors read them.
 
 `coefficient_sieve` gives every coefficient of one n-slice up to a
 cutoff M at once, as an int64 numpy array.  It calls
@@ -25,6 +34,7 @@ against `coefficient` and against the multiplier-at-a-time sieve.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -108,6 +118,83 @@ def count_roots_prime_power(p: int, alpha: int, n: int) -> int:
             return 0
         return p ** (r // 2) * _unit_count(p, alpha - r, m)
     return _unit_count(p, alpha, n)
+
+
+def _check_prime(p: int) -> None:
+    if p < 2 or not arith.is_probable_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+def count_roots_table(p: int, alpha: int) -> np.ndarray:
+    """table[r] = C(p^alpha, r) for every r in [0, p^alpha), as int64.
+
+    The closed formula of count_roots_prime_power over all residues at
+    once: v = min(v_p(r), alpha) by one strided increment per level, the
+    unit part r0 = r / p^v, and for odd p one Legendre symbol per class
+    of r0 mod p, by Euler's criterion in int64; at p = 2 the mod-4 and
+    mod-8 rules.  Reads neither `arith.kronecker` nor the x^2 histogram
+    of count_roots_residue_table, which it is checked against.  Refuses
+    a p that is not prime, alpha < 1, and a table past the exhaustive
+    limit of 1e7 entries.
+    """
+    _check_prime(p)
+    if alpha < 1:
+        raise ValueError(f"exponent must be >= 1, got {alpha}")
+    # p >= 2, so alpha past the bit length of the limit is past it too.
+    if alpha > _BRUTEFORCE_LIMIT.bit_length() or p**alpha > _BRUTEFORCE_LIMIT:
+        raise OracleScaleError(
+            f"residue table refused for {p}^{alpha} > {_BRUTEFORCE_LIMIT}"
+        )
+    q = p**alpha
+    v = np.zeros(q, dtype=np.int64)
+    for k in range(1, alpha + 1):
+        v[:: p**k] += 1
+    unit = np.arange(q, dtype=np.int64) // p**v
+    if p == 2:
+        level = alpha - v
+        units = np.where(level == 1, 1, np.where(
+            level == 2, 2 * (unit % 4 == 1), 4 * (unit % 8 == 1)))
+    else:
+        base = np.arange(p, dtype=np.int64)
+        power = np.ones(p, dtype=np.int64)
+        e = (p - 1) // 2
+        while e:
+            if e & 1:
+                power = power * base % p
+            base = base * base % p
+            e >>= 1
+        units = np.where(power == p - 1, 0, power + 1)[unit % p]
+    return np.where(v >= alpha, p ** (alpha // 2),
+                    np.where(v % 2, 0, p ** (v // 2) * units))
+
+
+def count_roots_levels(p: int, n: int, K: int) -> list[int]:
+    """[C(p^a, n) for a = 0..K], from one split n = p^r * n0.
+
+    The split stops at r = K, so n = 0 and a deep n cost K divisions at
+    most.  Levels a <= r count p^floor(a/2); past r they count 0 for odd
+    r, and p^(r/2) times the unit count of n0 at level a - r for even r,
+    which for odd p takes the one symbol (n0/p).  Refuses a p that is not
+    prime and K < 0.
+    """
+    _check_prime(p)
+    if K < 0:
+        raise ValueError(f"level count must satisfy K >= 0, got {K}")
+    r, n0 = 0, n
+    while r < K and n0 % p == 0:
+        n0 //= p
+        r += 1
+    counts = [p ** (a // 2) for a in range(r + 1)]
+    if r == K or r % 2:
+        counts.extend(itertools.repeat(0, K - r))
+        return counts
+    # The unit count of n0 mod p^j is the same for every j >= 1 at odd p,
+    # and for every j >= 3 at p = 2.
+    scale = p ** (r // 2)
+    fixed = min(3 if p == 2 else 1, K - r)
+    counts.extend(scale * _unit_count(p, j, n0) for j in range(1, fixed))
+    counts.extend(itertools.repeat(scale * _unit_count(p, fixed, n0), K - r - fixed + 1))
+    return counts
 
 
 def count_roots(m: int, n: int) -> int:

@@ -129,17 +129,14 @@ def criterion_count_oracle() -> tuple[bool, str]:
     ns = np.arange(-n_lim, n_lim + 1)
 
     # Formula route, batched: counts per residue for every prime power,
-    # assembled multiplicatively per m.  This is the same composition
-    # count_roots performs, evaluated once per residue class.
+    # from Euler's criterion over its classes (`count_roots_table`), and
+    # assembled multiplicatively per m as count_roots composes them.
     ppc: dict[int, np.ndarray] = {}
     for p in arith.primes_up_to(m_max):
         q = p
         e = 1
         while q <= m_max:
-            ppc[q] = np.asarray(
-                [sqcount.count_roots_prime_power(p, e, r) for r in range(q)],
-                dtype=np.int64,
-            )
+            ppc[q] = sqcount.count_roots_table(p, e)
             q *= p
             e += 1
 
@@ -184,23 +181,38 @@ def criterion_count_oracle() -> tuple[bool, str]:
 def criterion_form_bijection() -> tuple[bool, str]:
     """The reduced forms (a, b, c) with 3ac - b^2 = n, enumerated by
     `enumerate_representatives`, number C(3a, -n) for all a, n <= 300,
-    exactly."""
+    exactly.  The counts come from one `coefficient_sieve` per n; a
+    seeded sample ties the scalar `coefficient` to them."""
     size = 300
-    counts = [[0] * (size + 1) for _ in range(size + 1)]
-    for a, _b, _c, n in forms.enumerate_representatives(
-        size, size, require_odd_squarefree=False
-    ):
-        counts[a][n] += 1
-    bad = 0
+    sieved = np.zeros((size + 1, size + 1), dtype=np.int64)
+    for n in range(1, size + 1):
+        sieved[:, n] = sqcount.coefficient_sieve(n, size)
+    cells = np.fromiter((
+        a * (size + 1) + n
+        for a, _b, _c, n in forms.enumerate_representatives(
+            size, size, require_odd_squarefree=False)
+    ), dtype=np.int64)
+    counted = np.bincount(cells, minlength=sieved.size).reshape(sieved.shape)
+    # Row-major over (m, n), so the first mismatch is the m-major first.
+    bad_at = np.flatnonzero(sieved[1:, 1:] != counted[1:, 1:])
     first_bad = ""
-    for m in range(1, size + 1):
-        for n in range(1, size + 1):
-            if counts[m][n] != sqcount.coefficient(m, n):
-                bad += 1
-                if not first_bad:
-                    first_bad = f"; first at (m={m}, n={n})"
-    detail = f"90000 pairs exact, {bad} mismatches{first_bad}"
-    return bad == 0, detail
+    if bad_at.size:
+        m, n = divmod(int(bad_at[0]), size)
+        first_bad = f"; first at (m={m + 1}, n={n + 1})"
+
+    rng = random.Random(20261021)
+    sample_bad = 0
+    for _ in range(2000):
+        m = rng.randint(1, size)
+        n = rng.randint(1, size)
+        if sqcount.coefficient(m, n) != sieved[m, n]:
+            sample_bad += 1
+
+    detail = (
+        f"90000 pairs exact, {bad_at.size} mismatches{first_bad}, "
+        f"{sample_bad} scalar-route mismatches in 2000 samples"
+    )
+    return bad_at.size == 0 and sample_bad == 0, detail
 
 
 # ======================================================================

@@ -17,7 +17,7 @@ character tables under test.  The table is imprimitive, so
 
 import pytest
 
-from cubic_mds import lfunc, verify
+from cubic_mds import lfunc, sqcount, verify
 
 
 @pytest.mark.parametrize(
@@ -40,3 +40,29 @@ def test_acceptance_criterion(suite, record_property, monkeypatch):
     # No Hurwitz block of a verification pass is large enough to be
     # shared among threads: the pass starts none.
     assert max(spans, default=0) < lfunc._SHARED_SPANS, (line, max(spans))
+
+
+def test_form_bijection_reports_both_routes(monkeypatch):
+    # Two wrong sieve cells: the first named is the first in m-major
+    # order, (m=3, n=9), although n = 5 is sieved before n = 9.
+    sieve = sqcount.coefficient_sieve
+
+    def corrupted(n, m_cutoff):
+        h = sieve(n, m_cutoff)
+        h[{5: 7, 9: 3}.get(n, 0)] += 1
+        return h
+
+    monkeypatch.setattr(sqcount, "coefficient_sieve", corrupted)
+    result = verify.criterion_form_bijection()
+    assert not result.passed
+    assert "2 mismatches; first at (m=3, n=9)," in result.detail
+    monkeypatch.undo()
+
+    # A fault of the scalar route alone shows in the seeded sample.
+    coefficient = sqcount.coefficient
+    monkeypatch.setattr(sqcount, "coefficient",
+                        lambda m, n: coefficient(m, n) + m % 2)
+    result = verify.criterion_form_bijection()
+    assert not result.passed
+    assert "0 mismatches, " in result.detail
+    assert "0 scalar-route" not in result.detail

@@ -1,6 +1,7 @@
 """Double series assembly, regrouping, residue identities."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -365,6 +366,42 @@ def test_residue_product_cutoffs_below_five_agree():
         for cutoff in (0, -5):
             with pytest.raises(ValueError, match="prime_cutoff"):
                 mds.residue_product(chi, 0.5, cutoff)
+
+
+def _log_series(f, order):
+    """Taylor coefficients 0..order of log f, for a polynomial f with
+    f[0] = 1, exactly: e g_e = e f_e - sum_{0<j<e} j g_j f_{e-j}."""
+    f = f + [0] * (order + 1 - len(f))
+    g = [Fraction(0)] * (order + 1)
+    for e in range(1, order + 1):
+        g[e] = f[e] - sum(Fraction(j, e) * g[j] * f[e - j] for j in range(1, e))
+    return g
+
+
+def test_residue_product_matches_prime_zeta_reference():
+    # Principal chi mod 24 at s1 = 1/2: each p >= 5 contributes
+    # f(1/p) = (1 - 2x^2 + x^3) / (1 - x^2), so the product is
+    # (1/3) exp(sum_e c_e (P(e) - 2^-e - 3^-e)) with c_e the Taylor
+    # coefficients of log f and P the prime zeta function.  c_e grows
+    # like phi^e / e, so the terms past e = 60 are below 1e-29.
+    c = [a - b for a, b in zip(_log_series([1, 0, -2, 1], 60),
+                               _log_series([1, 0, -1], 60))]
+    log_sum = mpmath.fsum(
+        mpmath.mpf(c[e].numerator) / c[e].denominator
+        * (mpmath.primezeta(e) - mpmath.mpf(2) ** -e - mpmath.mpf(3) ** -e)
+        for e in range(2, 61) if c[e]
+    )
+    want = complex(mpmath.exp(log_sum) / 3)
+    assert abs(want - 0.307392960435999531) < 1e-17
+    chi = next(ch for ch in characters_mod24() if ch.is_principal)
+    for cutoff in (10000, 20000):
+        got = mds.residue_product(chi, 0.5, cutoff)
+        # A priori: each prime's factor and its product with the partial
+        # product are each rounded to within 2^-53 relative, so the
+        # product is off by at most pi(P) 2^-52 relative to first order.
+        # The prime-zeta tail past the cutoff adds far less.
+        bound = len(arith.primes_up_to(cutoff)) * 2.0**-52
+        assert abs(got - want) <= bound * abs(want), cutoff
 
 
 def test_residue_product_pole_guard():

@@ -225,3 +225,95 @@ def test_coefficient_sieve_takes_symbols_from_scalar_kronecker(monkeypatch):
         period = n if n % 4 == 3 else 4 * n
         units = sum(math.gcd(r, period) == 1 for r in range(period))
         assert len(symbols) == units, n
+
+
+# ======================================================================
+# whole residue tables and level lists
+# ======================================================================
+
+SMALL_PRIMES = arith.primes_up_to(60)
+# Every prime power p^alpha <= 2500 of a prime p <= 60, up to 2^11.
+SMALL_PRIME_POWERS = [
+    (p, e) for p in SMALL_PRIMES for e in range(1, 12) if p**e <= 2500
+]
+
+
+def test_table_and_levels_refuse_bad_input():
+    for p in (-3, 0, 1, 4, 9, 2**31 - 3):
+        with pytest.raises(ValueError, match="prime"):
+            sqcount.count_roots_table(p, 1)
+        with pytest.raises(ValueError, match="prime"):
+            sqcount.count_roots_levels(p, 5, 3)
+    for alpha in (0, -1):
+        with pytest.raises(ValueError, match="exponent"):
+            sqcount.count_roots_table(5, alpha)
+    with pytest.raises(ValueError, match="K >= 0"):
+        sqcount.count_roots_levels(5, 7, -1)
+    # Past 1e7 entries, as the exhaustive table; a vast exponent is
+    # refused without forming p^alpha.
+    for p, alpha in ((2, 24), (3163, 2), (10007, 2), (2**61 - 1, 1), (2, 10**12)):
+        with pytest.raises(OracleScaleError):
+            sqcount.count_roots_table(p, alpha)
+    assert sqcount.count_roots_levels(5, 7, 0) == [1]
+
+
+def test_table_and_levels_use_one_symbol_per_class(monkeypatch):
+    # The table is the closed formula by Euler's criterion: it reads no
+    # Kronecker symbol, no symbol column and no exhaustive count, and
+    # still equals the x^2 histogram.  The levels take one symbol.
+    powers = [(2, e) for e in range(1, 15)] + [(3, 9), (5, 6), (7, 4), (1999, 1)]
+    want = {pe: sqcount.count_roots_residue_table(pe[0] ** pe[1]) for pe in powers}
+    cases = [(p, n, K) for p in (2, 3, 5, 53) for n in (0, -7, 12, -p**9 * 6, 2**40)
+             for K in (0, 1, 9, 60)]
+    levels = {
+        c: [sqcount.count_roots_prime_power(c[0], a, c[1]) for a in range(c[2] + 1)]
+        for c in cases
+    }
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the table read a symbol or an exhaustive count")
+
+    for name in ("kronecker", "legendre_column"):
+        monkeypatch.setattr(arith, name, refused)
+    for name in ("count_roots_residue_table", "count_roots_bruteforce"):
+        monkeypatch.setattr(sqcount, name, refused)
+    for (p, alpha), table in want.items():
+        got = sqcount.count_roots_table(p, alpha)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, table), (p, alpha)
+
+    symbols = []
+
+    def counted(a, b):
+        symbols.append((a, b))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(arith, "kronecker", counted)
+    for (p, n, K), counts in levels.items():
+        symbols.clear()
+        assert sqcount.count_roots_levels(p, n, K) == counts, (p, n, K)
+        assert len(symbols) <= 1, (p, n, K)
+
+
+if given is not None:
+
+    @given(pe=st.sampled_from(SMALL_PRIME_POWERS), n=st.integers(-(10**9), 10**9))
+    def test_count_roots_table_property(pe, n):
+        p, alpha = pe
+        table = sqcount.count_roots_table(p, alpha)
+        assert table.shape == (p**alpha,)
+        want = [sqcount.count_roots_prime_power(p, alpha, r) for r in range(p**alpha)]
+        assert table.tolist() == want
+        assert table[n % p**alpha] == sqcount.count_roots_prime_power(p, alpha, n)
+
+    # n = u p^k: n = 0 at u = 0, and divisible by p up to p^70.
+    @given(
+        p=st.sampled_from(SMALL_PRIMES),
+        u=st.integers(-500, 500),
+        k=st.integers(0, 70),
+        K=st.integers(0, 70),
+    )
+    def test_count_roots_levels_property(p, u, k, K):
+        n = u * p**k
+        want = [sqcount.count_roots_prime_power(p, a, n) for a in range(K + 1)]
+        assert sqcount.count_roots_levels(p, n, K) == want
