@@ -89,9 +89,10 @@ _MAX_CUTOFF = 2_000_000
 _MAX_PRIME_CUTOFF = 10_000_000
 _MAX_ZETA2_M, _MAX_ZETA2_N = 4_000, 2_500
 # Largest `euler --k`: the oracle takes one symbol and about 0.5 us a
-# term, so 1e6 terms take 0.6 s at p = 2^31 - 1 and 39 MB.  Largest `forms` cutoffs: every
-# form is kept as a row, about 0.95 mmax * nmax of them, and at both
-# ceilings (475k rows) it takes 1.6 s and 178 MB, 200 MB as JSON.
+# term, so 1e6 terms take 0.6 s at p = 2^31 - 1 and 39 MB.  Largest
+# `forms` cutoffs: every form is kept as a row, about 0.95 mmax * nmax of
+# them, and at both ceilings (475k rows) it takes 1.6 s and 178 MB, 200 MB
+# as JSON.
 # Largest `table --nmax` and `table coeffs --mmax`: at both ceilings
 # `table coeffs` keeps 405k rows (1.2 s and 180 MB as JSON), and
 # `table zn --cutoff 2000000` takes 15 s on two workers of 131 MB each.

@@ -193,7 +193,8 @@ def count_roots_levels(p: int, n: int, K: int) -> list[int]:
     scale = p ** (r // 2)
     fixed = min(3 if p == 2 else 1, K - r)
     counts.extend(scale * _unit_count(p, j, n0) for j in range(1, fixed))
-    counts.extend(itertools.repeat(scale * _unit_count(p, fixed, n0), K - r - fixed + 1))
+    deep = scale * _unit_count(p, fixed, n0)
+    counts.extend(itertools.repeat(deep, K - r - fixed + 1))
     return counts
 
 
