@@ -107,4 +107,17 @@ def test_first_pass_sums_the_first_round_of_criteria():
         "criterion_01: 0.900 s of 120 s budget, PASS",
     ])
     assert bench_pairs.first_pass_s(stderr) == 1.25
+    assert bench_pairs.first_pass_criteria(stderr) == {"01": 1.0, "02": 0.25}
     assert bench_pairs.first_pass_s("no criteria here") is None
+
+
+def test_summary_keeps_each_criterion_of_the_first_pass():
+    pairs = _pairs([1, 2, 3], [2, 3, 4], [9] * 3, [9] * 3)
+    for i, p in enumerate(pairs):
+        p["parent"]["first_pass_criteria_s"] = {"01": 1.0 + i, "02": 0.5}
+        p["change"]["first_pass_criteria_s"] = {"01": 0.5 + i, "02": 0.1}
+    block = bench_pairs.summarise(pairs, END_TO_END)
+    assert block["per_pair"]["102"]["change"]["first_pass_criteria_s"] == {
+        "01": 2.5, "02": 0.1}
+    assert block["first_pass_criteria_s_median"] == {
+        "parent": {"01": 2.0, "02": 0.5}, "change": {"01": 1.5, "02": 0.1}}

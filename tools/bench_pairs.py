@@ -17,9 +17,10 @@ reads better) and `change_worse_by` (relative change of the median,
 signed so that positive is worse), and each pair's figures.  On
 `acceptance` a pair also records `first_pass_s`, the summed elapsed
 time of the criteria of the run's first pass, read from the lines
-run.py prints to stderr.  The raw records go to
-`.bench_out/pairs-<N>.json` after every pair; `--from-raw FILE`
-summarises such a file without running anything.
+run.py prints to stderr, and `first_pass_criteria_s`, each criterion's
+share of it; the block gives each side's median per criterion.  The raw
+records go to `.bench_out/pairs-<N>.json` after every pair;
+`--from-raw FILE` summarises such a file without running anything.
 """
 
 from __future__ import annotations
@@ -51,20 +52,24 @@ PROTOCOL = (
 )
 
 
-def first_pass_s(stderr: str) -> float | None:
-    """Summed elapsed time of the criteria of the first pass: the lines
-    up to the first repeat of a criterion number."""
-    seen: set[str] = set()
-    total = 0.0
+def first_pass_criteria(stderr: str) -> dict[str, float]:
+    """Elapsed time of each criterion of the first pass, by its number:
+    the lines up to the first repeat of a criterion number."""
+    times: dict[str, float] = {}
     for line in stderr.splitlines():
         match = CRITERION_LINE.match(line)
         if not match:
             continue
-        if match.group(1) in seen:
+        if match.group(1) in times:
             break
-        seen.add(match.group(1))
-        total += float(match.group(2))
-    return round(total, 3) if seen else None
+        times[match.group(1)] = float(match.group(2))
+    return times
+
+
+def first_pass_s(stderr: str) -> float | None:
+    """Summed elapsed time of the criteria of the first pass."""
+    times = first_pass_criteria(stderr)
+    return round(sum(times.values()), 3) if times else None
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -87,6 +92,7 @@ def run_once(checkout: Path, workload: str, seed: int,
     }
     if workload == "acceptance":
         record["first_pass_s"] = first_pass_s(proc.stderr)
+        record["first_pass_criteria_s"] = first_pass_criteria(proc.stderr)
     return record
 
 
@@ -143,8 +149,21 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
                        for k in PAIR_FIGURES}
             if p[side].get("first_pass_s") is not None:
                 figures["first_pass_s"] = p[side]["first_pass_s"]
+            if p[side].get("first_pass_criteria_s"):
+                figures["first_pass_criteria_s"] = p[side][
+                    "first_pass_criteria_s"]
             entry[side] = figures
         block["per_pair"][str(p["seed"])] = entry
+    criteria = {}
+    for side in ("parent", "change"):
+        runs = [p[side]["first_pass_criteria_s"] for p in pairs
+                if p[side].get("first_pass_criteria_s")]
+        if runs:
+            criteria[side] = {
+                k: round(statistics.median(r[k] for r in runs if k in r), 3)
+                for k in sorted({k for r in runs for k in r})}
+    if criteria:
+        block["first_pass_criteria_s_median"] = criteria
     return block
 
 
