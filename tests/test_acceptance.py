@@ -46,10 +46,12 @@ def test_form_bijection_reports_both_routes(monkeypatch):
     # Two wrong sieve cells: the first named is the first in m-major
     # order, (m=3, n=9), although n = 5 is sieved before n = 9.
     sieve = sqcount.coefficient_sieve
+    wrong_m = {5: 7, 9: 3}
 
     def corrupted(n, m_cutoff):
         h = sieve(n, m_cutoff)
-        h[{5: 7, 9: 3}.get(n, 0)] += 1
+        if n in wrong_m:
+            h[wrong_m[n]] += 1
         return h
 
     monkeypatch.setattr(sqcount, "coefficient_sieve", corrupted)
