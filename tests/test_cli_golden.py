@@ -70,6 +70,8 @@ COMMANDS = [
     ["euler", "2", "28", "--s", "2,0", "--k", "60"],
     ["euler", "5", "50", "--s", "2.5,1", "--k", "60"],
     ["euler", "3", "162", "--s", "2,0", "--k", "60"],
+    # A completed L-value at the conductor 8,020, inside the strip.
+    ["fe", "2005", "--grid", "0.3,4"],
 ]
 
 SCRIPT = """
