@@ -20,13 +20,15 @@ with the Hurwitz values continued by Euler-Maclaurin, which reaches
 into the critical strip.  For non-principal characters the pole of each
 Hurwitz term at s = 1 is removed before summing (the chi-weighted poles
 cancel exactly), so values like L(1, chi_4) = pi/4 are directly
-computable.  A third route, for the odd real primitive characters at
-real s only, is the smoothed approximate functional equation
-(`_L23_real_batch`): it evaluates L_{2,3}(eta_n, s) for many n at once
-from the incomplete gamma function (`_gamma_upper`) and characters
-filled from the scalar `arith.kronecker`, with no character table, no
-Hurwitz sum and no `complex_gamma`, so it stays apart from both other
-routes.  Criterion 9's left side reads it.
+computable.  A third route, for the odd real primitive characters, is
+the smoothed approximate functional equation: it works from the
+incomplete gamma function and characters filled from the scalar
+`arith.kronecker`, with no character table, no Hurwitz sum and no
+`complex_gamma`, so it stays apart from both other routes.  At real s
+it evaluates L_{2,3}(eta_n, s) for many n at once (`_L23_real_batch`),
+which criterion 9's left side reads; at complex s it gives the
+completed value (`_Lambda_afe`), which `completed_Lambda` takes at
+large conductors inside the strip.
 
 On top of that sit the closed forms of the slice series: the nine-branch
 rational factor A_j keyed by a residue class mod 24, its character-
@@ -775,13 +777,27 @@ def real_primitive_characters(max_modulus: int) -> list[DirichletCharacter]:
 # ======================================================================
 
 def twisted_exponential_sum(chi: DirichletCharacter) -> complex:
-    """Raw sum over l mod q of chi(l) e^(2 pi i l / q), no primitivity gate."""
+    """Raw sum over l mod q of chi(l) e^(2 pi i l / q), no primitivity gate.
+
+    One pass over the support in arrays, with the bits of the scalar loop
+    `total += complex(chi(l)) * cmath.exp(2j * math.pi * l / q)`: the
+    angle is (2 pi l) / q, the exponential numpy's of 0 + iy, each
+    product is spelt out in real operations as Python's complex product
+    forms it, and each part is summed in order by `np.add.accumulate`
+    from 0.0.
+    """
     q = chi.modulus
     support = np.flatnonzero(chi.table)
-    total = 0j
-    for l, v in zip(support.tolist(), chi.table[support].tolist()):
-        total += complex(v) * cmath.exp(2j * math.pi * l / q)
-    return total
+    values = chi.table[support].astype(complex)
+    y = (2 * math.pi * support.astype(float)) / q
+    e = np.exp(y * 1j)
+    er, ei = e.real, e.imag
+    vr, vi = values.real, values.imag
+    re = vr * er - vi * ei
+    im = vr * ei + vi * er
+    total_re = np.add.accumulate(np.concatenate(([0.0], re)))[-1]
+    total_im = np.add.accumulate(np.concatenate(([0.0], im)))[-1]
+    return complex(total_re, total_im)
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
@@ -909,19 +925,32 @@ def L_removed_23(chi: DirichletCharacter, s: complex) -> complex:
 # ======================================================================
 
 # Terms of the series or the continued fraction after which
-# `_gamma_upper` gives up.  On the AFE's domain the series stops within
-# 30 terms and the fraction within 100.
+# `_gamma_upper` and `_gamma_upper_complex` give up.  On the domains of
+# the two AFEs both stop within 50 terms, except the fraction at real a
+# near 0 (s near 2), which takes up to 150.
 _GAMMA_MAX_TERMS = 400
 _GAMMA_EPS = 2.0**-53
 _LENTZ_TINY = 1e-300
 
 
-def _gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(a, x) for real a, not 0, -1, -2, ..., and each x > 0.
+def _gamma_lower_series(a, x: np.ndarray) -> np.ndarray:
+    """gamma(a, x) = x^a e^-x sum_k x^k / (a (a+1) ... (a+k)) for each
+    x >= 0, a real or complex and not 0, -1, -2, ...; ArithmeticError
+    if the series has not settled after _GAMMA_MAX_TERMS terms."""
+    term = np.full(x.shape, 1.0 / a)
+    total = term
+    for k in range(1, _GAMMA_MAX_TERMS):
+        term = term * x / (a + k)
+        total = total + term
+        if np.all(np.abs(term) <= _GAMMA_EPS * np.abs(total)):
+            break
+    else:
+        raise ArithmeticError(f"gamma(a, x) series did not settle at a = {a}")
+    return np.exp(a * np.log(x) - x) * total
 
-    Below x = 3 (x = 1 when a <= 1) it is Gamma(a) - gamma(a, x), the
-    lower function by its power series x^a e^-x sum_k x^k / (a (a+1)
-    ... (a+k)).  Above, the Legendre continued fraction
+
+def _gamma_upper_fraction(a, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) by the Legendre continued fraction for each x > 0,
 
         Gamma(a, x) = x^a e^-x / (x + 1 - a - 1 (1 - a) / (x + 3 - a
                       - 2 (2 - a) / (x + 5 - a - ...)))
@@ -929,28 +958,10 @@ def _gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
     by the modified Lentz method (I. J. Thompson and A. R. Barnett,
     J. Comput. Phys. 64 (1986)); a point leaves the loop once its
     convergent has settled.  ArithmeticError if a point has not settled
-    after _GAMMA_MAX_TERMS terms.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    # Gamma(a) - gamma(a, x) loses the digits of Gamma(a) / Gamma(a, x),
-    # which grow with x and as a nears a pole: at a = 0.05 a split at
-    # x = 3 left 1.3e-12 relative, at x = 1 it leaves 4e-14.
-    low = x < (3.0 if a > 1 else 1.0)
-    xl = x[low]
-    term = np.full(xl.shape, 1.0 / a)
-    total = term
-    for k in range(1, _GAMMA_MAX_TERMS):
-        term = term * xl / (a + k)
-        total = total + term
-        if np.all(np.abs(term) <= _GAMMA_EPS * np.abs(total)):
-            break
-    else:
-        raise ArithmeticError(f"gamma(a, x) series did not settle at a = {a}")
-    out[low] = math.gamma(a) - np.exp(a * np.log(xl) - xl) * total
-
-    idx = np.flatnonzero(~low)
-    xh = x[idx]
+    after _GAMMA_MAX_TERMS terms."""
+    out = np.empty(x.shape, dtype=np.result_type(x, a))
+    idx = np.arange(x.size)
+    xh = x
     b = xh + 1 - a
     c = np.full(xh.shape, 1 / _LENTZ_TINY)
     d = 1 / b
@@ -979,12 +990,80 @@ def _gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gamma_upper_complex(a: complex, x: np.ndarray) -> tuple[np.ndarray, complex]:
+    """(Gamma(a, x) for each x > 0, Gamma(a)) at complex a with
+    0.25 <= Re a <= 1.25 and |Im a| <= 10, the arguments of `_Lambda_afe`.
+
+    Below X = max(4, |a|) it is Gamma(a) - gamma(a, x), the lower
+    function by its power series; from X on, the continued fraction,
+    which settles there within 100 terms.  Gamma(a) itself is
+    gamma(a, X) + Gamma(a, X), X taken as one more point of each part,
+    so it reads neither `complex_gamma` nor `math.gamma`; it is within
+    1e-13 relative of an mpmath reference on that range.
+    """
+    x = np.asarray(x, dtype=float)
+    split = max(4.0, abs(a))
+    low = x < split
+    lower = _gamma_lower_series(a, np.append(x[low], split))
+    upper = _gamma_upper_fraction(a, np.append(x[~low], split))
+    gamma_a = lower[-1] + upper[-1]
+    out = np.empty(x.shape, dtype=complex)
+    out[low] = gamma_a - lower[:-1]
+    out[~low] = upper[:-1]
+    return out, complex(gamma_a)
+
+
+def _gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) for real a, not 0, -1, -2, ..., and each x > 0.
+
+    Below x = 3 (x = 1 when a <= 1) it is Gamma(a) - gamma(a, x), the
+    lower function by its power series (`_gamma_lower_series`) and
+    Gamma(a) by `math.gamma`; above, the continued fraction
+    (`_gamma_upper_fraction`).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    # Gamma(a) - gamma(a, x) loses the digits of Gamma(a) / Gamma(a, x),
+    # which grow with x and as a nears a pole: at a = 0.05 a split at
+    # x = 3 left 1.3e-12 relative, at x = 1 it leaves 4e-14.
+    low = x < (3.0 if a > 1 else 1.0)
+    out[low] = math.gamma(a) - _gamma_lower_series(a, x[low])
+    out[~low] = _gamma_upper_fraction(a, x[~low])
+    return out
+
+
 def _afe_domain(s: complex) -> bool:
     """True at the real s where `_L23_real_batch` is evaluated: 1 < s < 3.9
     and |s - 2| >= 0.1, so (s+1)/2 > 1 and (2-s)/2 stays at least 0.05
     from the poles of Gamma at 0 and -1."""
     s = complex(s)
     return s.imag == 0 and 1 < s.real < 3.9 and abs(s.real - 2) >= 0.1
+
+
+def _afe_characters(f: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Float array chi[i, m] = (-f_i/m) for m = 0..count_i, one row per
+    conductor f_i; the entries past count_i are never read and may be 0.
+
+    The rows are filled multiplicatively from (-f_i/p), p prime, by the
+    scalar `arith.kronecker`, at every power of p up to the largest
+    count: no character table is built.  A prime where every row needs
+    the symbol and every symbol is 1 changes nothing and is skipped.
+    """
+    top = int(count.max())
+    chi = np.ones((f.size, top + 1))
+    chi[:, 0] = 0
+    for p in arith.primes_up_to(top):
+        need = np.flatnonzero(count >= p)
+        symbols = [arith.kronecker(-d, p) for d in f[need].tolist()]
+        if need.size == f.size and min(symbols) == 1:
+            continue
+        at_p = np.zeros((f.size, 1))
+        at_p[need, 0] = symbols
+        pk = p
+        while pk <= top:
+            chi[:, pk::pk] *= at_p
+            pk *= p
+    return chi
 
 
 def _L23_real_batch(ns, s: float) -> np.ndarray:
@@ -1016,19 +1095,7 @@ def _L23_real_batch(ns, s: float) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     f = np.where(ns % 4 == 1, 4 * ns, ns)
     count = np.ceil(np.sqrt(40 * f / math.pi)).astype(np.int64) + 1
-    top = int(count.max())
-    # chi[i, m] = (D_i/m) for m <= count_i; the entries past count_i are
-    # never read and may be 0.
-    chi = np.ones((ns.size, top + 1))
-    chi[:, 0] = 0
-    for p in arith.primes_up_to(top):
-        need = np.flatnonzero(count >= p)
-        at_p = np.zeros((ns.size, 1))
-        at_p[need, 0] = [arith.kronecker(-d, p) for d in f[need].tolist()]
-        pk = p
-        while pk <= top:
-            chi[:, pk::pk] *= at_p
-            pk *= p
+    chi = _afe_characters(f, count)
     rows = np.repeat(np.arange(ns.size), count)
     m = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count) + 1
     x = math.pi * m.astype(float) ** 2 / f[rows]
@@ -1037,6 +1104,70 @@ def _L23_real_batch(ns, s: float) -> np.ndarray:
     lam = np.bincount(rows, weights=chi[rows, m] * m * terms, minlength=ns.size)
     lval = lam / ((f / math.pi) ** a * math.gamma(a))
     return lval * (1 - chi[:, 2] * 2.0**-s) * (1 - chi[:, 3] * 3.0**-s)
+
+
+# ======================================================================
+# approximate functional equation at complex s
+# ======================================================================
+
+# The split of the theta integral at t = lambda.  At lambda = 1 the sums
+# for Lambda(s) and Lambda(1 - s) hold the same terms, and the
+# functional equation would hold by construction; at lambda != 1 they
+# are different sums, equal only if the kernel is right.
+_AFE_LAMBDA = 1.25
+# The sum stops where the smaller argument x / lambda passes this, so
+# the last terms are below e^-40.
+_AFE_X_MAX = 40.0
+
+
+def _afe_strip(s: complex) -> bool:
+    """True on D = {-0.5 <= Re s <= 1.5, |Im s| <= 20}, where
+    `_Lambda_afe` is evaluated.  D is symmetric under s -> 1 - s.
+
+    There a = (s+1)/2 and b = (2-s)/2 have 0.25 <= Re <= 1.25 and
+    |Im| <= 10.  The AFE loses about pi |Im s| / (4 ln 10) digits to
+    cancellation: against the Hurwitz route it was at most 6.5e-11
+    relative off at |Im s| = 20 and 1.9e-7 at 30 (21 points each), so D
+    stops at 20.
+    """
+    return -0.5 <= s.real <= 1.5 and abs(s.imag) <= 20
+
+
+def _afe_terms(f: int, s: complex) -> np.ndarray:
+    """The nonzero terms of the smoothed approximate functional equation
+    for Lambda(s) of the odd real primitive character chi* = (-f/.) of
+    conductor f, at s in D (`_afe_strip`); ValueError elsewhere.
+
+    chi* has root number 1, so with a = (s+1)/2, b = (2-s)/2 and
+    x = pi m^2 / f (M. Rubinstein, LMS Lecture Notes 322, 2005)
+
+        Lambda(s) = sum_m chi*(m) m [x^-a Gamma(a, lambda x)
+                                     + x^-b Gamma(b, x / lambda)],
+
+    one term per m with chi*(m) != 0, up to x / lambda = 40.  chi* comes
+    from `_afe_characters`, Gamma(a, .) and Gamma(b, .) from
+    `_gamma_upper_complex`: no Hurwitz sum, character table or
+    `complex_gamma` is read.
+    """
+    s = complex(s)
+    if not _afe_strip(s):
+        raise ValueError(f"the complex-s AFE needs -0.5 <= Re s <= 1.5 and"
+                         f" |Im s| <= 20, got {s}")
+    count = math.ceil(math.sqrt(_AFE_X_MAX * _AFE_LAMBDA * f / math.pi)) + 1
+    chi = _afe_characters(np.array([f]), np.array([count]))[0]
+    m = np.flatnonzero(chi)
+    x = math.pi * m.astype(float) ** 2 / f
+    a, b = (s + 1) / 2, (2 - s) / 2
+    upper_a, _ = _gamma_upper_complex(a, _AFE_LAMBDA * x)
+    upper_b, _ = _gamma_upper_complex(b, x / _AFE_LAMBDA)
+    return chi[m] * m * (x**-a * upper_a + x**-b * upper_b)
+
+
+def _Lambda_afe(n: int, s: complex) -> complex:
+    """Lambda(s) of `completed_Lambda` by the approximate functional
+    equation (`_afe_terms`), for n odd, squarefree and prime to 3 and s
+    in D (`_afe_strip`)."""
+    return complex(np.sum(_afe_terms(_lambda_conductor(n), s)))
 
 
 def _signed_divisors(b: int) -> list[tuple[int, int]]:
@@ -1204,6 +1335,43 @@ def Z_n_closed(n: int, s: complex) -> complex:
     return z1 / z2 * branch * lval / _guard(1 - x2, "1 - 2^-s")
 
 
+def _lambda_conductor(n: int) -> int:
+    """The conductor of psi_n: 4n for n = 1 mod 4, n for n = 3 mod 4."""
+    return n if n % 4 == 3 else 4 * n
+
+
+def _Lambda_hurwitz(n: int, s: complex) -> complex:
+    """Lambda(s) of `completed_Lambda` by the Hurwitz route, with
+    `complex_gamma`, for n odd, squarefree and prime to 3 and s finite."""
+    f = _lambda_conductor(n)
+    prim = character_from_symbol(-n, f)
+    front = _px(math.pi / f, (s + 1) / 2)
+    gam = complex_gamma((s + 1) / 2)
+    lval = dirichlet_L(prim, s).value
+    return front * gam * lval
+
+
+# From this conductor on, `completed_Lambda` takes the AFE inside D.
+# Rows of `python3 tools/lambda_routes.py` (seed 29, 8 points s per
+# conductor as the `lseries` benchmark draws them, medians; two CPUs,
+# Python 3.11.7, numpy 2.4.6):
+#
+#   conductor      n hurwitz_ms  afe_ms afe/hurwitz worst_rel
+#        1003   1003       1.96    1.68        0.85   4.1e-14
+#        1012    253       1.05    1.56        1.50   1.2e-14
+#        2003   2003       3.88    2.00        0.52   1.6e-14
+#        2020    505       1.71    1.68        0.98   7.6e-15
+#        2503   2503       4.60    1.92        0.42   1.4e-14
+#        2516    629       2.35    1.80        0.77   7.3e-15
+#        8020   2005       5.91    2.16        0.37   1.1e-14
+#       24004   6001      12.65    2.86        0.23   5.0e-14
+#
+# Above 2,500 the AFE is the faster route at both shapes of the
+# conductor; the Hurwitz block of f = 4n has only phi(f) = f/2 points,
+# so that shape breaks even later.
+_AFE_MIN_CONDUCTOR = 2500
+
+
 def completed_Lambda(n: int, s: complex) -> complex:
     """Completed L-value (pi/f)^(-(s+1)/2) Gamma((s+1)/2) L(s, chi_f).
 
@@ -1212,16 +1380,20 @@ def completed_Lambda(n: int, s: complex) -> complex:
     conductor the function is exactly self-dual: Lambda(1-s) =
     Lambda(s), which the functional-equation suite checks.  The raw
     mod-12n table cannot be used here: it is imprimitive, and a
-    completed L built on the modulus 12n is not self-dual.  chi_f is
-    the symbol (-n/.) at its own period, built for each call, and not at
-    all when its Hurwitz block would pass the limit (ValueError).
+    completed L built on the modulus 12n is not self-dual.
+
+    Two routes.  For f >= _AFE_MIN_CONDUCTOR and s in D = {-0.5 <= Re s
+    <= 1.5, |Im s| <= 20} it is the smoothed approximate functional
+    equation (`_Lambda_afe`), which builds no character table.
+    Everywhere else chi_f is the symbol (-n/.) at its own period, built
+    for each call, and L comes from the Hurwitz route
+    (`_Lambda_hurwitz`).  D is symmetric under s -> 1 - s, so both sides
+    of a functional-equation check take one route.  Either way, n whose
+    Hurwitz block would pass the limit are refused first (ValueError).
     """
     points = _psi_n_points(n)
     s = _finite(complex(s))
     _check_block(s, points, f"completed_Lambda at n = {n}")
-    f = n if n % 4 == 3 else 4 * n
-    prim = character_from_symbol(-n, f)
-    front = _px(math.pi / f, (s + 1) / 2)
-    gam = complex_gamma((s + 1) / 2)
-    lval = dirichlet_L(prim, s).value
-    return front * gam * lval
+    if _lambda_conductor(n) >= _AFE_MIN_CONDUCTOR and _afe_strip(s):
+        return _Lambda_afe(n, s)
+    return _Lambda_hurwitz(n, s)

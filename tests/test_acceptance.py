@@ -42,6 +42,17 @@ def test_acceptance_criterion(suite, record_property, monkeypatch):
     assert max(spans, default=0) < lfunc._SHARED_SPANS, (line, max(spans))
 
 
+def test_functional_equation_sees_a_gamma_defect(monkeypatch):
+    # Lambda(s) and Lambda(1 - s) scale alike under a defect of
+    # complex_gamma, so only the AFE-against-Hurwitz part sees it.
+    gamma = lfunc.complex_gamma
+    monkeypatch.setattr(lfunc, "complex_gamma",
+                        lambda z: gamma(z) * (1 + 1e-7))
+    result = verify.criterion_functional_equation()
+    assert not result.passed
+    assert "AFE against Hurwitz at 8 points, worst rel 1.000e-07" in result.detail
+
+
 def test_form_bijection_reports_both_routes(monkeypatch):
     # Two wrong sieve cells: the first named is the first in m-major
     # order, (m=3, n=9), although n = 5 is sieved before n = 9.

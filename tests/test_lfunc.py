@@ -158,6 +158,8 @@ def test_slice_values_refuse_large_n_before_building_tables(monkeypatch):
     # At s = 2 and s = 0.3 a block has 30 rows, so 2^24 entries allow
     # 559,240 points: phi(4n) = 2 phi(n) for Z_n, and phi(f) for the
     # conductor f of psi_n (4n when n = 1 mod 4, n when n = 3 mod 4).
+    # completed_Lambda is asked at s = 2, outside the strip where large
+    # conductors take the AFE, which builds no table.
     class Reached(Exception):
         pass
 
@@ -168,14 +170,17 @@ def test_slice_values_refuse_large_n_before_building_tables(monkeypatch):
     monkeypatch.setattr(lfunc, "character_from_symbol", sentinel)
     cases = [  # (function, s, largest prime inside, least prime past)
         (Z_n_closed, 2.0, 279593, 279641),  # primes = 2 mod 3
-        (completed_Lambda, 0.3, 559231, 559243),  # primes = 3 mod 4
-        (completed_Lambda, 0.3, 279613, 279637),  # primes = 1 mod 4
+        (completed_Lambda, 2.0, 559231, 559243),  # primes = 3 mod 4
+        (completed_Lambda, 2.0, 279613, 279637),  # primes = 1 mod 4
     ]
     for fn, s, inside, past in cases:
         with pytest.raises(Reached):
             fn(inside, s)
         with pytest.raises(ValueError, match=f"at n = {past} needs"):
             fn(past, s)
+    # Inside the strip the block limit still refuses first.
+    with pytest.raises(ValueError, match="at n = 559243 needs"):
+        completed_Lambda(559243, 0.3)
     with pytest.raises(ValueError, match="at n = 10000019 needs"):
         Z_n_closed(10000019, 2.0)
 
@@ -619,6 +624,30 @@ def test_gauss_sum_of_primitive_part_of_psi():
         assert abs(tau - 1j * math.sqrt(prim.modulus)) < 1e-10, n
 
 
+def scalar_twisted_sum(chi) -> complex:
+    """The loop `twisted_exponential_sum` replaced, term by term."""
+    q = chi.modulus
+    support = np.flatnonzero(chi.table)
+    total = 0j
+    for l, v in zip(support.tolist(), chi.table[support].tolist()):
+        total += complex(v) * cmath.exp(2j * math.pi * l / q)
+    return total
+
+
+def test_twisted_sum_keeps_the_bits_of_the_scalar_loop():
+    # Every real primitive character of modulus <= 200; the primitive
+    # parts of psi_n at conductors of the `lseries` benchmark (both
+    # shapes, up to 23,996); raw psi_n tables; and complex characters.
+    chars = real_primitive_characters(200)
+    chars += [primitive_part(psi_n_character(n))
+              for n in (505, 863, 1999, 2005, 3001, 5609, 5909, 5999)]
+    chars += [psi_n_character(n) for n in (5, 13, 505)]
+    chars += all_characters_mod(49)[:12] + all_characters_mod(60)[:8]
+    for chi in chars:
+        got, want = twisted_exponential_sum(chi), scalar_twisted_sum(chi)
+        assert repr(got) == repr(want), chi
+
+
 # ======================================================================
 # L values
 # ======================================================================
@@ -775,6 +804,118 @@ def test_L23_real_batch_reads_no_hurwitz_gamma_or_table(monkeypatch):
     for n, v in zip(ns, got.tolist()):
         ref = L_removed_23(character_eta(n), 2.5)
         assert abs(v - ref) <= 1e-13 * abs(ref), n
+
+
+# ======================================================================
+# approximate functional equation at complex s
+# ======================================================================
+
+
+def test_complex_gamma_split_against_mpmath():
+    # Gamma(a) from the incomplete gamma pieces alone, over the
+    # arguments (s+1)/2 and (2-s)/2 of s in the strip D.
+    for re in np.linspace(0.25, 1.25, 5):
+        for im in np.linspace(-10.0, 10.0, 21):
+            a = complex(re, im)
+            _, got = lfunc._gamma_upper_complex(a, np.empty(0))
+            want = complex(mpmath.gamma(mpmath.mpc(re, im)))
+            assert abs(got - want) <= 1e-13 * abs(want), a
+
+
+def test_gamma_upper_complex_against_mpmath():
+    # x straddles the split at max(4, |a|) and reaches lambda * 50.
+    x = np.array([1e-4, 0.01, 0.3, 1.0, 3.9, 4.0, 4.1, 7.0, 9.9, 10.1,
+                  20.0, 45.0, 62.5])
+    for a in (0.25 + 0j, 0.6 - 10j, 0.6 + 0.7j, 1.0 - 3j, 1.25 + 5j,
+              0.25 + 10j, 1.25 - 0.5j):
+        got, _ = lfunc._gamma_upper_complex(a, x)
+        want = [complex(mpmath.gammainc(mpmath.mpc(a.real, a.imag), xi))
+                for xi in x]
+        for xi, g, w in zip(x, got.tolist(), want):
+            assert abs(g - w) <= 1e-12 * abs(w), (a, xi)
+
+
+def test_afe_strip_edges():
+    inside = (-0.5, 1.5, 0.3 + 20j, 0.3 - 20j, -0.5 - 20j, 0.5 + 0j)
+    outside = (-0.5000001, 1.5000001, 0.3 + 20.0001j, 2.0, -1.0, 0.5 - 21j)
+    assert all(lfunc._afe_strip(complex(s)) for s in inside)
+    assert not any(lfunc._afe_strip(complex(s)) for s in outside)
+    for s in inside:
+        assert lfunc._afe_strip(1 - complex(s))
+    for s in outside:
+        with pytest.raises(ValueError, match="complex-s AFE"):
+            lfunc._Lambda_afe(2005, s)
+
+
+def test_afe_reads_no_hurwitz_gamma_or_table(monkeypatch):
+    want = lfunc._Lambda_afe(2005, 0.3 + 4j)
+    via_route = completed_Lambda(2005, 0.3 + 4j)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the AFE read another route's kernel")
+
+    for name in ("_hurwitz_sum", "complex_gamma", "jacobi_table",
+                 "character_from_symbol"):
+        monkeypatch.setattr(lfunc, name, refused)
+    assert lfunc._Lambda_afe(2005, 0.3 + 4j) == want
+    assert lfunc._Lambda_afe(13, 0.6 + 2j) != 0
+    assert completed_Lambda(2005, 0.3 + 4j) == via_route == want
+
+
+def test_completed_Lambda_keeps_hurwitz_outside_the_afe_route():
+    # repr of completed_Lambda before the AFE route existed: below the
+    # conductor threshold, or outside the strip D (Re s past -0.5 or
+    # 1.5, |Im s| past 20).
+    recorded = [
+        (5, 0.3 + 2j, "(1.1994670245905197-0.8055105273766268j)"),
+        (13, 0.5 + 5j, "(0.3374657359063541-1.0269562977782698e-15j)"),
+        (505, 0.4 + 6j, "(2.0186802522729725-2.0534759668077163j)"),
+        (863, 0.4 + 6j, "(3.4123821714865405+1.3282860527124989j)"),
+        (1999, 0.25 + 9j, "(2.8370567482435916-0.23983086910734802j)"),
+        (5, -0.5, "(11.269778989757498+0j)"),
+        (2005, 1.6, "(22194.49024195683+0j)"),
+        (2005, 0.3 + 21j, "(-8.714559390756032e-05-0.00011516536482945389j)"),
+        (2005, -0.6 + 3j, "(8986.01876973424+6501.041382813766j)"),
+        (5609, 2.5, "(5513609.077759646+0j)"),
+        (5609, -1.5, "(5513609.077408599+0j)"),
+        (5609, 0.4 + 20.5j, "(-0.0008007627506652105+0.000472669483086601j)"),
+        (5909, 1.51 + 2j, "(-25470.985768020437+22263.101830462707j)"),
+    ]
+    for n, s, want in recorded:
+        assert repr(completed_Lambda(n, s)) == want, (n, s)
+    # Above the threshold and inside D the AFE answers.
+    assert completed_Lambda(2005, 0.3 + 4j) == lfunc._Lambda_afe(2005, 0.3 + 4j)
+    assert lfunc._lambda_conductor(505) < lfunc._AFE_MIN_CONDUCTOR
+    assert lfunc._lambda_conductor(2005) >= lfunc._AFE_MIN_CONDUCTOR
+
+
+def test_afe_functional_equation_is_not_by_construction():
+    # With lambda != 1 the sums for s and 1 - s hold different terms;
+    # they agree only as far as the kernel is right.
+    assert lfunc._AFE_LAMBDA != 1
+    for n, s in ((2005, 0.3 + 4j), (5909, 0.4 + 6j), (863, 0.9 - 9j)):
+        a, b = lfunc._Lambda_afe(n, s), lfunc._Lambda_afe(n, 1 - s)
+        assert 0 < abs(a - b) <= 1e-8 * abs(a), (n, s)
+
+
+if given is not None:
+    # Conductors from 4 to 11,996, on both sides of the threshold.
+    AFE_N = [n for n in range(1, 3000, 2) if n % 3 and arith.is_squarefree(n)]
+
+    @given(
+        n=st.sampled_from(AFE_N),
+        s=st.builds(complex, st.floats(-0.5, 1.5), st.floats(-20.0, 20.0)),
+    )
+    def test_afe_matches_hurwitz_in_the_strip(n, s):
+        # Lambda has zeros on the critical line, so the gap is measured
+        # against the sum of the absolute terms, the scale of the
+        # rounding in the AFE; it was at most 1.4e-13 of it over 400
+        # random points.
+        terms = lfunc._afe_terms(lfunc._lambda_conductor(n), s)
+        got = complex(np.sum(terms))
+        assert got == lfunc._Lambda_afe(n, s)
+        want = lfunc._Lambda_hurwitz(n, s)
+        assert abs(got - want) <= 1e-11 * float(np.abs(terms).sum()), (n, s)
 
 
 # ======================================================================
