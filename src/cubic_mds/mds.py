@@ -19,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, forms, sqcount
+from .afe import _afe_domain, _L23_real_batch
 from .arith import _finite, _px
 from .errors import PoleError
 from .euler import _local_factor, _unit_factor
 from .lfunc import (
     _UNITS_MOD24,
     DirichletCharacter,
-    _afe_domain,
-    _L23_real_batch,
     A_j,
     L_removed_23,
     character_eta,
@@ -337,9 +336,9 @@ def residue_identity_check(
     right side's m-sum to m_cutoff; ValueError when either is below 1,
     and when the tolerance is not > 0, before anything is evaluated.
 
-    At a real s1 of `lfunc._afe_domain` the left side's L-values
+    At a real s1 of `afe._afe_domain` the left side's L-values
     L_{2,3}(eta_n, s1) come from one approximate-functional-equation
-    batch (`lfunc._L23_real_batch`), kept per (s1, n_cutoff); elsewhere
+    batch (`afe._L23_real_batch`), kept per (s1, n_cutoff); elsewhere
     the left side is `Z_star`, by the Hurwitz route.  The right side's
     twists read `jacobi_table`, so the two sides share no L-value
     kernel either way.

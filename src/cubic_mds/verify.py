@@ -24,13 +24,13 @@ from typing import Callable
 import numpy as np
 
 from . import arith, forms, mds, sqcount
+from .afe import _Lambda_afe
 from .euler import local_factor_closed, local_factor_oracle
 from .lfunc import (
     A_j,
-    _Lambda_afe,
-    _Lambda_hurwitz,
     DirichletCharacter,
     Z_n_closed,
+    _Lambda_hurwitz,
     a_n,
     all_characters_mod,
     characters_mod24,
@@ -357,7 +357,7 @@ def criterion_functional_equation() -> tuple[bool, str]:
     """|Lambda(1-s) - Lambda(s)| / |Lambda(s)| <= 1e-8 for
     n in {1, 5, 7, 11, 13, 17} at s in {0.3, 0.75, 0.6+2i, 0.5+5i}; and
     at n in {13, 17} and the same s, the AFE route of Lambda
-    (`lfunc._Lambda_afe`) against the Hurwitz route
+    (`afe._Lambda_afe`) against the Hurwitz route
     (`lfunc._Lambda_hurwitz`) to 1e-8 relative.
 
     Both sides of the functional equation take one route, so a defect

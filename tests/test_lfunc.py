@@ -12,7 +12,7 @@ try:
 except ImportError:  # the property tests are then skipped
     given = None
 
-from cubic_mds import arith, lfunc
+from cubic_mds import afe, arith, lfunc
 from cubic_mds.errors import PoleError
 from cubic_mds.lfunc import (
     DirichletCharacter,
@@ -770,7 +770,7 @@ def test_gamma_upper_against_mpmath():
                   3.0001, 7.0, 20.0, 45.0])
     for a in (1.0001, 1.3, 1.75, 2.15, 2.4499,
               0.4999, 0.2, 0.05, -0.05, -0.25, -0.65, -0.9499):
-        got = lfunc._gamma_upper(a, x)
+        got = afe._gamma_upper(a, x)
         want = np.array([float(mpmath.gammainc(a, xi)) for xi in x])
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), a
 
@@ -779,16 +779,16 @@ def test_afe_domain_edges():
     inside = (1.0001, 1.6, 1.9, 2.1, 2.5, 3.3, 3.8999, 2.5 + 0j, 3)
     outside = (1.0, 0.5, 1.95, 2.0, 2.05, 3.9, 4.0, 2.5 + 1e-9j, math.nan,
                math.inf)
-    assert all(lfunc._afe_domain(s) for s in inside)
-    assert not any(lfunc._afe_domain(s) for s in outside)
+    assert all(afe._afe_domain(s) for s in inside)
+    assert not any(afe._afe_domain(s) for s in outside)
     for s in (2.0, 2.5 + 1j):
         with pytest.raises(ValueError, match="real-s L batch"):
-            lfunc._L23_real_batch([5, 7], s)
+            afe._L23_real_batch([5, 7], s)
 
 
 def test_L23_real_batch_reads_no_hurwitz_gamma_or_table(monkeypatch):
     ns = [1, 5, 7, 11, 13, 1997]
-    want = lfunc._L23_real_batch(ns, 2.5)
+    want = afe._L23_real_batch(ns, 2.5)
 
     def refused(*args, **kwargs):
         raise AssertionError("the AFE batch read another route's kernel")
@@ -798,7 +798,7 @@ def test_L23_real_batch_reads_no_hurwitz_gamma_or_table(monkeypatch):
                  "dirichlet_L"):
         monkeypatch.setattr(lfunc, name, refused)
     monkeypatch.setattr(lfunc, "DirichletCharacter", refused)
-    got = lfunc._L23_real_batch(ns, 2.5)
+    got = afe._L23_real_batch(ns, 2.5)
     assert np.array_equal(got, want)
     monkeypatch.undo()
     for n, v in zip(ns, got.tolist()):
@@ -817,7 +817,7 @@ def test_complex_gamma_split_against_mpmath():
     for re in np.linspace(0.25, 1.25, 5):
         for im in np.linspace(-10.0, 10.0, 21):
             a = complex(re, im)
-            _, got = lfunc._gamma_upper_complex(a, np.empty(0))
+            _, got = afe._gamma_upper_complex(a, np.empty(0))
             want = complex(mpmath.gamma(mpmath.mpc(re, im)))
             assert abs(got - want) <= 1e-13 * abs(want), a
 
@@ -828,7 +828,7 @@ def test_gamma_upper_complex_against_mpmath():
                   20.0, 45.0, 62.5])
     for a in (0.25 + 0j, 0.6 - 10j, 0.6 + 0.7j, 1.0 - 3j, 1.25 + 5j,
               0.25 + 10j, 1.25 - 0.5j):
-        got, _ = lfunc._gamma_upper_complex(a, x)
+        got, _ = afe._gamma_upper_complex(a, x)
         want = [complex(mpmath.gammainc(mpmath.mpc(a.real, a.imag), xi))
                 for xi in x]
         for xi, g, w in zip(x, got.tolist(), want):
@@ -838,17 +838,17 @@ def test_gamma_upper_complex_against_mpmath():
 def test_afe_strip_edges():
     inside = (-0.5, 1.5, 0.3 + 20j, 0.3 - 20j, -0.5 - 20j, 0.5 + 0j)
     outside = (-0.5000001, 1.5000001, 0.3 + 20.0001j, 2.0, -1.0, 0.5 - 21j)
-    assert all(lfunc._afe_strip(complex(s)) for s in inside)
-    assert not any(lfunc._afe_strip(complex(s)) for s in outside)
+    assert all(afe._afe_strip(complex(s)) for s in inside)
+    assert not any(afe._afe_strip(complex(s)) for s in outside)
     for s in inside:
-        assert lfunc._afe_strip(1 - complex(s))
+        assert afe._afe_strip(1 - complex(s))
     for s in outside:
         with pytest.raises(ValueError, match="complex-s AFE"):
-            lfunc._Lambda_afe(2005, s)
+            afe._Lambda_afe(2005, s)
 
 
 def test_afe_reads_no_hurwitz_gamma_or_table(monkeypatch):
-    want = lfunc._Lambda_afe(2005, 0.3 + 4j)
+    want = afe._Lambda_afe(2005, 0.3 + 4j)
     via_route = completed_Lambda(2005, 0.3 + 4j)
 
     def refused(*args, **kwargs):
@@ -857,8 +857,8 @@ def test_afe_reads_no_hurwitz_gamma_or_table(monkeypatch):
     for name in ("_hurwitz_sum", "complex_gamma", "jacobi_table",
                  "character_from_symbol"):
         monkeypatch.setattr(lfunc, name, refused)
-    assert lfunc._Lambda_afe(2005, 0.3 + 4j) == want
-    assert lfunc._Lambda_afe(13, 0.6 + 2j) != 0
+    assert afe._Lambda_afe(2005, 0.3 + 4j) == want
+    assert afe._Lambda_afe(13, 0.6 + 2j) != 0
     assert completed_Lambda(2005, 0.3 + 4j) == via_route == want
 
 
@@ -884,17 +884,17 @@ def test_completed_Lambda_keeps_hurwitz_outside_the_afe_route():
     for n, s, want in recorded:
         assert repr(completed_Lambda(n, s)) == want, (n, s)
     # Above the threshold and inside D the AFE answers.
-    assert completed_Lambda(2005, 0.3 + 4j) == lfunc._Lambda_afe(2005, 0.3 + 4j)
-    assert lfunc._lambda_conductor(505) < lfunc._AFE_MIN_CONDUCTOR
-    assert lfunc._lambda_conductor(2005) >= lfunc._AFE_MIN_CONDUCTOR
+    assert completed_Lambda(2005, 0.3 + 4j) == afe._Lambda_afe(2005, 0.3 + 4j)
+    assert afe._lambda_conductor(505) < lfunc._AFE_MIN_CONDUCTOR
+    assert afe._lambda_conductor(2005) >= lfunc._AFE_MIN_CONDUCTOR
 
 
 def test_afe_functional_equation_is_not_by_construction():
     # With lambda != 1 the sums for s and 1 - s hold different terms;
     # they agree only as far as the kernel is right.
-    assert lfunc._AFE_LAMBDA != 1
+    assert afe._AFE_LAMBDA != 1
     for n, s in ((2005, 0.3 + 4j), (5909, 0.4 + 6j), (863, 0.9 - 9j)):
-        a, b = lfunc._Lambda_afe(n, s), lfunc._Lambda_afe(n, 1 - s)
+        a, b = afe._Lambda_afe(n, s), afe._Lambda_afe(n, 1 - s)
         assert 0 < abs(a - b) <= 1e-8 * abs(a), (n, s)
 
 
@@ -911,9 +911,9 @@ if given is not None:
         # against the sum of the absolute terms, the scale of the
         # rounding in the AFE; it was at most 1.4e-13 of it over 400
         # random points.
-        terms = lfunc._afe_terms(lfunc._lambda_conductor(n), s)
+        terms = afe._afe_terms(afe._lambda_conductor(n), s)
         got = complex(np.sum(terms))
-        assert got == lfunc._Lambda_afe(n, s)
+        assert got == afe._Lambda_afe(n, s)
         want = lfunc._Lambda_hurwitz(n, s)
         assert abs(got - want) <= 1e-11 * float(np.abs(terms).sum()), (n, s)
 

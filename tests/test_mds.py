@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cubic_mds import arith, euler, forms, lfunc, mds, sqcount
+from cubic_mds import afe, arith, euler, forms, lfunc, mds, sqcount
 from cubic_mds.arith import _px
 from cubic_mds.errors import PoleError
 from cubic_mds.lfunc import characters_mod24, principal_character
@@ -231,7 +231,7 @@ def test_decomposition_and_Z_star_stay_on_hurwitz(monkeypatch):
     def refused(*args):
         raise AssertionError("AFE batch read outside residue_identity_check")
 
-    monkeypatch.setattr(lfunc, "_L23_real_batch", refused)
+    monkeypatch.setattr(afe, "_L23_real_batch", refused)
     monkeypatch.setattr(mds, "_L23_real_batch", refused)
     mds._L23_eta_batch.cache_clear()
     ns = mds._outer_indices(60)
@@ -270,7 +270,7 @@ def test_L23_batch_matches_hurwitz():
     cases = [(2.5, ns, mds._L23_eta_batch(2.5, 2000))]
     few = sorted(set(ns[::10] + ns[-10:]))
     for s in (1.6, 3.3):
-        cases.append((s, few, lfunc._L23_real_batch(few, s).tolist()))
+        cases.append((s, few, afe._L23_real_batch(few, s).tolist()))
     for s, group, got in cases:
         for n, v in zip(group, got):
             want = mds._L23_eta(n, complex(s))

@@ -7,11 +7,11 @@ For each conductor of a fixed ladder, and each shape of psi_n's conductor
 (odd, squarefree, prime to 3) whose conductor reaches it, and evaluates
 Lambda at `--reps` seeded points s, drawn as the `lseries` benchmark
 draws them (0.05 <= Re s <= 0.95, |Im s| <= 10).  Each point is timed
-once by the Hurwitz route (`_Lambda_hurwitz`, its block memo cleared
-first, so no evaluation reuses another's) and once by the approximate
-functional equation (`_Lambda_afe`).  Prints one row per conductor: the
-median of each route in ms, their ratio, and the worst relative gap
-between the routes.  `lfunc._AFE_MIN_CONDUCTOR` quotes this table.
+once by the Hurwitz route (`lfunc._Lambda_hurwitz`, its block memo
+cleared first, so no evaluation reuses another's) and once by the
+approximate functional equation (`afe._Lambda_afe`).  Prints one row
+per conductor: the median of each route in ms, their ratio, and the
+worst relative gap between the routes.  `lfunc._AFE_MIN_CONDUCTOR` quotes this table.
 """
 
 from __future__ import annotations
@@ -46,29 +46,29 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
-    from cubic_mds import arith, lfunc
+    from cubic_mds import afe, arith, lfunc
 
     rng = random.Random(args.seed)
-    lfunc._Lambda_afe(5, 0.3 + 2j)  # warm the imports and caches
+    afe._Lambda_afe(5, 0.3 + 2j)  # warm the imports and caches
     lfunc._Lambda_hurwitz(5, 0.3 + 2j)
     print(f"{'conductor':>9} {'n':>6} {'hurwitz_ms':>10} {'afe_ms':>7}"
           f" {'afe/hurwitz':>11} {'worst_rel':>9}")
     for target in LADDER:
         for shape in (3, 1):
             n = least_n(target, shape, arith)
-            hurwitz, afe, worst = [], [], 0.0
+            hurwitz_s, afe_s, worst = [], [], 0.0
             for _ in range(args.reps):
                 s = complex(rng.uniform(0.05, 0.95), rng.uniform(-10.0, 10.0))
                 lfunc._hurwitz_memo.cache_clear()
                 start = time.perf_counter()
                 want = lfunc._Lambda_hurwitz(n, s)
-                hurwitz.append(time.perf_counter() - start)
+                hurwitz_s.append(time.perf_counter() - start)
                 start = time.perf_counter()
-                got = lfunc._Lambda_afe(n, s)
-                afe.append(time.perf_counter() - start)
+                got = afe._Lambda_afe(n, s)
+                afe_s.append(time.perf_counter() - start)
                 worst = max(worst, abs(got - want) / abs(want))
-            h, a = statistics.median(hurwitz), statistics.median(afe)
-            print(f"{lfunc._lambda_conductor(n):>9} {n:>6} {h * 1e3:>10.2f}"
+            h, a = statistics.median(hurwitz_s), statistics.median(afe_s)
+            print(f"{afe._lambda_conductor(n):>9} {n:>6} {h * 1e3:>10.2f}"
                   f" {a * 1e3:>7.2f} {a / h:>11.2f} {worst:>9.1e}")
     return 0
 
