@@ -100,7 +100,8 @@ def _gamma_upper_fraction(a, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma_upper_complex(a: complex, x: np.ndarray) -> tuple[np.ndarray, complex]:
+def _gamma_upper_complex(a: complex,
+                         x: np.ndarray) -> tuple[np.ndarray, complex]:
     """(Gamma(a, x) for each x > 0, Gamma(a)) at complex a with
     0.25 <= Re a <= 1.25 and |Im a| <= 10, the arguments of `_Lambda_afe`.
 

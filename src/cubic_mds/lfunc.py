@@ -1098,14 +1098,14 @@ def _Lambda_hurwitz(n: int, s: complex) -> complex:
 # Python 3.11.7, numpy 2.4.6):
 #
 #   conductor      n hurwitz_ms  afe_ms afe/hurwitz worst_rel
-#        1003   1003       1.96    1.68        0.85   4.1e-14
-#        1012    253       1.05    1.56        1.50   1.2e-14
-#        2003   2003       3.88    2.00        0.52   1.6e-14
-#        2020    505       1.71    1.68        0.98   7.6e-15
-#        2503   2503       4.60    1.92        0.42   1.4e-14
-#        2516    629       2.35    1.80        0.77   7.3e-15
-#        8020   2005       5.91    2.16        0.37   1.1e-14
-#       24004   6001      12.65    2.86        0.23   5.0e-14
+#        1003   1003       2.09    1.90        0.91   4.2e-14
+#        1012    253       1.14    1.79        1.56   1.1e-14
+#        2003   2003       4.08    2.19        0.54   1.5e-14
+#        2020    505       1.83    1.89        1.03   6.7e-15
+#        2503   2503       5.35    2.30        0.43   1.4e-14
+#        2516    629       2.62    2.00        0.76   7.6e-15
+#        8020   2005       6.47    2.32        0.36   1.1e-14
+#       24004   6001      13.54    2.98        0.22   5.0e-14
 #
 # Above 2,500 the AFE is the faster route at both shapes of the
 # conductor; the Hurwitz block of f = 4n has only phi(f) = f/2 points,

@@ -11,7 +11,8 @@ once by the Hurwitz route (`lfunc._Lambda_hurwitz`, its block memo
 cleared first, so no evaluation reuses another's) and once by the
 approximate functional equation (`afe._Lambda_afe`).  Prints one row
 per conductor: the median of each route in ms, their ratio, and the
-worst relative gap between the routes.  `lfunc._AFE_MIN_CONDUCTOR` quotes this table.
+worst relative gap between the routes.  `lfunc._AFE_MIN_CONDUCTOR`
+quotes this table.
 """
 
 from __future__ import annotations
